@@ -14,9 +14,9 @@
 //! Writes `BENCH_ktaud.json` at the repo root.
 //!
 //! `ktaud_scale --check` runs a reduced config with client-side mirrors and
-//! enforces the lossless gate: every client reconstruction, re-encoded,
-//! must be byte-identical to the server's full binary encoding after every
-//! poll.  CI runs this mode.
+//! enforces the lossless gate: every client reconstruction must be
+//! byte-identical to the server's full binary encoding after every poll.
+//! CI runs this mode.
 
 use ktau_oskern::{Cluster, ClusterSpec, FnProgram, NoiseSpec, Op, TaskSpec};
 use ktau_user::ktaud::{KtaudMirror, KtaudService, SubscriptionFilter};
@@ -302,7 +302,7 @@ struct Bench {
 }
 
 /// The CI gate: a reduced config with real client mirrors, asserting after
-/// every poll that each mirror's re-encoded reconstruction is byte-identical
+/// every poll that each mirror's reconstruction is byte-identical
 /// to the server's full encoding for every tracked process.  Read-only: no
 /// BENCH file is touched.  `nodes` scales the gate (`--check 2048` in CI's
 /// bounded job; plain `--check` stays at 8).

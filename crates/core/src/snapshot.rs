@@ -4,13 +4,21 @@
 //!
 //! Snapshots resolve [`crate::event::EventId`]s to names so they remain
 //! meaningful outside the kernel instance that produced them.
+//!
+//! This module alone knows the binary row layout.  The kernel writes a
+//! profile's bytes straight from live measurement state
+//! ([`encode_measurement`]); the KTAUD path keeps them as
+//! [`EncodedProfile`]s and diffs, splices and compares rows as byte ranges,
+//! so no decoded [`ProfileSnapshot`] exists between kernel and client
+//! mirror.  Snapshots are the decoded view analysis code reads.
 
-use crate::event::{EventDesc, EventRegistry, Group};
+use crate::event::{EventId, EventRegistry, Group};
 use crate::measure::TaskMeasurement;
 use crate::profile::{AtomicStats, EntryExitStats};
 use crate::time::Ns;
 use crate::trace::{TracePoint, TraceRecord};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Magic bytes opening every binary-encoded snapshot.
 pub const BINARY_MAGIC: &[u8; 4] = b"KTAU";
@@ -80,7 +88,8 @@ pub struct ProfileSnapshot {
 
 impl ProfileSnapshot {
     /// Builds a snapshot from live measurement state, resolving names via the
-    /// kernel's registry.
+    /// kernel's registry: the decode of [`encode_measurement`]'s bytes, so
+    /// name resolution and row order live in that encoder alone.
     pub fn capture(
         pid: u32,
         comm: &str,
@@ -89,72 +98,9 @@ impl ProfileSnapshot {
         meas: &TaskMeasurement,
         registry: &EventRegistry,
     ) -> Self {
-        let name_of = |id| -> (String, Group) {
-            registry
-                .get(id)
-                .map(|d: &EventDesc| (d.name.clone(), d.group))
-                .unwrap_or_else(|| (format!("unknown_{}", id), Group::Other))
-        };
-        let mut kernel_events = Vec::new();
-        let mut kernel_atomics = Vec::new();
-        for (id, s) in meas.kernel.iter_entries() {
-            let (name, group) = name_of(id);
-            kernel_events.push(EventRow {
-                name,
-                group,
-                stats: *s,
-            });
-        }
-        for (id, s) in meas.kernel.iter_atomics() {
-            let (name, group) = name_of(id);
-            kernel_atomics.push(AtomicRow {
-                name,
-                group,
-                stats: *s,
-            });
-        }
-        let mut user_events = Vec::new();
-        for (id, s) in meas.user.iter_entries() {
-            let (name, group) = name_of(id);
-            user_events.push(EventRow {
-                name,
-                group,
-                stats: *s,
-            });
-        }
-        let mut merged: Vec<MergedRow> = meas
-            .merged
-            .iter()
-            .map(|((u, k), s)| {
-                let user = u.map(|id| name_of(id).0);
-                let (kernel, kernel_group) = name_of(k);
-                MergedRow {
-                    user,
-                    kernel,
-                    kernel_group,
-                    count: s.count,
-                    ns: s.ns,
-                }
-            })
-            .collect();
-        merged.sort_by(|a, b| (&a.user, &a.kernel).cmp(&(&b.user, &b.kernel)));
-        let mut kernel_wall: Vec<(Option<String>, Ns)> = meas
-            .wall
-            .iter()
-            .map(|(u, ns)| (u.map(|id| name_of(id).0), ns))
-            .collect();
-        kernel_wall.sort();
-        ProfileSnapshot {
-            pid,
-            comm: comm.to_owned(),
-            node,
-            taken_ns,
-            kernel_events,
-            kernel_atomics,
-            user_events,
-            merged,
-            kernel_wall,
-        }
+        let mut w = Writer::new();
+        encode_measurement(&mut w, pid, comm, node, taken_ns, meas, registry);
+        decode_profile(w.as_slice()).expect("encode_measurement writes a well-formed profile")
     }
 
     /// Non-overlapping kernel wall time attributed inside `user` routine.
@@ -240,13 +186,10 @@ impl TraceSnapshot {
         let named = records
             .iter()
             .map(|r| {
-                let (name, group) = registry
-                    .get(r.event)
-                    .map(|d| (d.name.clone(), d.group))
-                    .unwrap_or_else(|| (format!("unknown_{}", r.event), Group::Other));
+                let (name, group) = resolve(registry, r.event);
                 NamedTraceRecord {
                     ts_ns: r.ts_ns,
-                    name,
+                    name: name.into_owned(),
                     group,
                     point: r.point,
                 }
@@ -274,20 +217,54 @@ fn group_to_u8(g: Group) -> u8 {
 }
 
 fn group_from_u8(v: u8) -> Result<Group, CodecError> {
+    // `Group::ALL` lists the groups in discriminant order.
     Group::ALL
-        .into_iter()
-        .find(|g| *g as u8 == v)
+        .get(v as usize)
+        .copied()
         .ok_or(CodecError::BadField("group"))
 }
 
-fn write_event_row(w: &mut Writer, r: &EventRow) {
-    w.str(&r.name);
-    w.u8(group_to_u8(r.group));
-    w.u64(r.stats.count);
-    w.u64(r.stats.incl_ns);
-    w.u64(r.stats.excl_ns);
-    w.u64(r.stats.min_incl_ns);
-    w.u64(r.stats.max_incl_ns);
+/// An event's registered name and group; ids the registry does not know
+/// read as `unknown_<id>` in [`Group::Other`].
+fn resolve(registry: &EventRegistry, id: EventId) -> (Cow<'_, str>, Group) {
+    match registry.get(id) {
+        Some(d) => (Cow::Borrowed(d.name.as_str()), d.group),
+        None => (Cow::Owned(format!("unknown_{id}")), Group::Other),
+    }
+}
+
+// Row writers take borrowed fields, so the snapshot encoder and the direct
+// kernel encoder share them.
+
+fn write_header(w: &mut Writer, pid: u32, comm: &str, node: u32, taken_ns: Ns) {
+    w.bytes(BINARY_MAGIC);
+    w.u16(BINARY_VERSION);
+    w.u32(pid);
+    w.str(comm);
+    w.u32(node);
+    w.u64(taken_ns);
+}
+
+/// Reads a profile header: `(pid, comm, node, taken_ns)`.
+fn read_header<'a>(r: &mut Reader<'a>) -> Result<(u32, &'a str, u32, Ns), CodecError> {
+    if r.take(4)? != BINARY_MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let ver = r.u16()?;
+    if ver != BINARY_VERSION {
+        return Err(CodecError::BadVersion(ver));
+    }
+    Ok((r.u32()?, r.str_ref()?, r.u32()?, r.u64()?))
+}
+
+fn write_event_row(w: &mut Writer, name: &str, group: Group, s: &EntryExitStats) {
+    w.str(name);
+    w.u8(group_to_u8(group));
+    w.u64(s.count);
+    w.u64(s.incl_ns);
+    w.u64(s.excl_ns);
+    w.u64(s.min_incl_ns);
+    w.u64(s.max_incl_ns);
 }
 
 fn read_event_row(r: &mut Reader<'_>) -> Result<EventRow, CodecError> {
@@ -304,13 +281,13 @@ fn read_event_row(r: &mut Reader<'_>) -> Result<EventRow, CodecError> {
     })
 }
 
-fn write_atomic_row(w: &mut Writer, r: &AtomicRow) {
-    w.str(&r.name);
-    w.u8(group_to_u8(r.group));
-    w.u64(r.stats.count);
-    w.u64(r.stats.sum);
-    w.u64(r.stats.min);
-    w.u64(r.stats.max);
+fn write_atomic_row(w: &mut Writer, name: &str, group: Group, s: &AtomicStats) {
+    w.str(name);
+    w.u8(group_to_u8(group));
+    w.u64(s.count);
+    w.u64(s.sum);
+    w.u64(s.min);
+    w.u64(s.max);
 }
 
 fn read_atomic_row(r: &mut Reader<'_>) -> Result<AtomicRow, CodecError> {
@@ -326,7 +303,7 @@ fn read_atomic_row(r: &mut Reader<'_>) -> Result<AtomicRow, CodecError> {
     })
 }
 
-fn write_opt_str(w: &mut Writer, s: &Option<String>) {
+fn write_opt_str(w: &mut Writer, s: Option<&str>) {
     match s {
         Some(s) => {
             w.u8(1);
@@ -336,25 +313,41 @@ fn write_opt_str(w: &mut Writer, s: &Option<String>) {
     }
 }
 
-fn read_opt_str(r: &mut Reader<'_>, what: &'static str) -> Result<Option<String>, CodecError> {
+fn read_opt_str<'a>(r: &mut Reader<'a>, what: &'static str) -> Result<Option<&'a str>, CodecError> {
     match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(r.str()?)),
+        1 => Ok(Some(r.str_ref()?)),
         _ => Err(CodecError::BadField(what)),
     }
 }
 
-fn write_merged_row(w: &mut Writer, r: &MergedRow) {
-    write_opt_str(w, &r.user);
-    w.str(&r.kernel);
-    w.u8(group_to_u8(r.kernel_group));
-    w.u64(r.count);
-    w.u64(r.ns);
+/// [`read_opt_str`] without borrowing the string.
+fn skip_opt_str(r: &mut Reader<'_>, what: &'static str) -> Result<(), CodecError> {
+    match r.u8()? {
+        0 => Ok(()),
+        1 => r.skip_str(),
+        _ => Err(CodecError::BadField(what)),
+    }
+}
+
+fn write_merged_row(
+    w: &mut Writer,
+    user: Option<&str>,
+    kernel: &str,
+    group: Group,
+    count: u64,
+    ns: Ns,
+) {
+    write_opt_str(w, user);
+    w.str(kernel);
+    w.u8(group_to_u8(group));
+    w.u64(count);
+    w.u64(ns);
 }
 
 fn read_merged_row(r: &mut Reader<'_>) -> Result<MergedRow, CodecError> {
     Ok(MergedRow {
-        user: read_opt_str(r, "merged user tag")?,
+        user: read_opt_str(r, "merged user tag")?.map(str::to_owned),
         kernel: r.str()?,
         kernel_group: group_from_u8(r.u8()?)?,
         count: r.u64()?,
@@ -362,105 +355,447 @@ fn read_merged_row(r: &mut Reader<'_>) -> Result<MergedRow, CodecError> {
     })
 }
 
-fn write_wall_row(w: &mut Writer, r: &(Option<String>, Ns)) {
-    write_opt_str(w, &r.0);
-    w.u64(r.1);
+fn write_wall_row(w: &mut Writer, user: Option<&str>, ns: Ns) {
+    write_opt_str(w, user);
+    w.u64(ns);
 }
 
 fn read_wall_row(r: &mut Reader<'_>) -> Result<(Option<String>, Ns), CodecError> {
-    Ok((read_opt_str(r, "wall user tag")?, r.u64()?))
+    Ok((
+        read_opt_str(r, "wall user tag")?.map(str::to_owned),
+        r.u64()?,
+    ))
+}
+
+/// Writes a `u32` row count followed by the rows, patching the count in
+/// once the rows are written.
+fn write_rows<T>(
+    w: &mut Writer,
+    rows: impl IntoIterator<Item = T>,
+    write: impl Fn(&mut Writer, T),
+) {
+    let at = w.len();
+    w.u32(0);
+    let mut n = 0u32;
+    for row in rows {
+        write(w, row);
+        n += 1;
+    }
+    w.set_u32(at, n);
+}
+
+/// Reads a `u32` row count followed by the rows.
+fn read_rows<T>(
+    r: &mut Reader<'_>,
+    read: impl Fn(&mut Reader<'_>) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.u32()? as usize;
+    let mut rows = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        rows.push(read(r)?);
+    }
+    Ok(rows)
 }
 
 /// Encodes a profile snapshot into the KTAU binary wire format.
 pub fn encode_profile(p: &ProfileSnapshot) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_profile_into(&mut w, p);
+    write_header(&mut w, p.pid, &p.comm, p.node, p.taken_ns);
+    write_rows(&mut w, &p.kernel_events, |w, r| {
+        write_event_row(w, &r.name, r.group, &r.stats)
+    });
+    write_rows(&mut w, &p.kernel_atomics, |w, r| {
+        write_atomic_row(w, &r.name, r.group, &r.stats)
+    });
+    write_rows(&mut w, &p.user_events, |w, r| {
+        write_event_row(w, &r.name, r.group, &r.stats)
+    });
+    write_rows(&mut w, &p.merged, |w, r| {
+        write_merged_row(
+            w,
+            r.user.as_deref(),
+            &r.kernel,
+            r.kernel_group,
+            r.count,
+            r.ns,
+        )
+    });
+    write_rows(&mut w, &p.kernel_wall, |w, (u, ns)| {
+        write_wall_row(w, u.as_deref(), *ns)
+    });
     w.into_vec()
 }
 
-/// [`encode_profile`] into a caller-owned [`Writer`] — clear and reuse one
-/// scratch writer across an encode-heavy loop (the KTAUD sweep path) to
-/// avoid reallocating the buffer per profile.
-pub fn encode_profile_into(w: &mut Writer, p: &ProfileSnapshot) {
-    w.bytes(BINARY_MAGIC);
-    w.u16(BINARY_VERSION);
-    w.u32(p.pid);
-    w.str(&p.comm);
-    w.u32(p.node);
-    w.u64(p.taken_ns);
-    w.u32(p.kernel_events.len() as u32);
-    for r in &p.kernel_events {
-        write_event_row(w, r);
-    }
-    w.u32(p.kernel_atomics.len() as u32);
-    for r in &p.kernel_atomics {
-        write_atomic_row(w, r);
-    }
-    w.u32(p.user_events.len() as u32);
-    for r in &p.user_events {
-        write_event_row(w, r);
-    }
-    w.u32(p.merged.len() as u32);
-    for r in &p.merged {
-        write_merged_row(w, r);
-    }
-    w.u32(p.kernel_wall.len() as u32);
-    for r in &p.kernel_wall {
-        write_wall_row(w, r);
-    }
+/// Writes the binary profile of one task straight from its live
+/// measurement state into `w` — the kernel side of `/proc/ktau/profile`.
+/// Names are borrowed from the registry (ids it does not know read as
+/// `unknown_<id>`); entry/exit and atomic rows follow event-id order,
+/// merged and wall rows are sorted by name.  [`ProfileSnapshot::capture`]
+/// is the decode of these bytes.
+pub fn encode_measurement(
+    w: &mut Writer,
+    pid: u32,
+    comm: &str,
+    node: u32,
+    taken_ns: Ns,
+    meas: &TaskMeasurement,
+    registry: &EventRegistry,
+) {
+    write_header(w, pid, comm, node, taken_ns);
+    let event = |w: &mut Writer, (id, s): (EventId, &EntryExitStats)| {
+        let (name, group) = resolve(registry, id);
+        write_event_row(w, &name, group, s)
+    };
+    write_rows(w, meas.kernel.iter_entries(), event);
+    write_rows(w, meas.kernel.iter_atomics(), |w, (id, s)| {
+        let (name, group) = resolve(registry, id);
+        write_atomic_row(w, &name, group, s)
+    });
+    write_rows(w, meas.user.iter_entries(), event);
+    let user_name = |u: Option<EventId>| u.map(|id| resolve(registry, id).0);
+    let mut merged: Vec<_> = meas
+        .merged
+        .iter()
+        .map(|((u, k), s)| {
+            let (kernel, group) = resolve(registry, k);
+            (user_name(u), kernel, group, s)
+        })
+        .collect();
+    merged.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+    write_rows(w, &merged, |w, (u, k, group, s)| {
+        write_merged_row(w, u.as_deref(), k, *group, s.count, s.ns)
+    });
+    let mut wall: Vec<_> = meas.wall.iter().map(|(u, ns)| (user_name(u), ns)).collect();
+    wall.sort();
+    write_rows(w, &wall, |w, (u, ns)| write_wall_row(w, u.as_deref(), *ns));
 }
 
 /// Decodes a binary profile snapshot.
 pub fn decode_profile(bytes: &[u8]) -> Result<ProfileSnapshot, CodecError> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != BINARY_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let ver = r.u16()?;
-    if ver != BINARY_VERSION {
-        return Err(CodecError::BadVersion(ver));
-    }
-    let pid = r.u32()?;
-    let comm = r.str()?;
-    let node = r.u32()?;
-    let taken_ns = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut kernel_events = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        kernel_events.push(read_event_row(&mut r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut kernel_atomics = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        kernel_atomics.push(read_atomic_row(&mut r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut user_events = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        user_events.push(read_event_row(&mut r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut merged = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        merged.push(read_merged_row(&mut r)?);
-    }
-    let n = r.u32()? as usize;
-    let mut kernel_wall = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        kernel_wall.push(read_wall_row(&mut r)?);
-    }
-    r.expect_end()?;
-    Ok(ProfileSnapshot {
+    let (pid, comm, node, taken_ns) = read_header(&mut r)?;
+    let p = ProfileSnapshot {
         pid,
-        comm,
+        comm: comm.to_owned(),
         node,
         taken_ns,
-        kernel_events,
-        kernel_atomics,
-        user_events,
-        merged,
-        kernel_wall,
-    })
+        kernel_events: read_rows(&mut r, read_event_row)?,
+        kernel_atomics: read_rows(&mut r, read_atomic_row)?,
+        user_events: read_rows(&mut r, read_event_row)?,
+        merged: read_rows(&mut r, read_merged_row)?,
+        kernel_wall: read_rows(&mut r, read_wall_row)?,
+    };
+    r.expect_end()?;
+    Ok(p)
+}
+
+// ---------------------------------------------------------------------------
+// Encoded profiles: the KTAUD representation
+// ---------------------------------------------------------------------------
+
+/// Row sections of a profile, in wire order: kernel entry/exit, kernel
+/// atomic, user entry/exit, merged, kernel wall.
+const SECTIONS: usize = 5;
+
+type RowCheck = fn(&mut Reader<'_>) -> Result<(), CodecError>;
+
+/// Per section, in wire order: checks one row as its reader would, failing
+/// with the same error, without decoding its numbers.
+const ROW_CHECKS: [RowCheck; SECTIONS] = [
+    |r| check_named_row(r, 40),
+    |r| check_named_row(r, 32),
+    |r| check_named_row(r, 40),
+    |r| {
+        skip_opt_str(r, "merged user tag")?;
+        check_named_row(r, 16)
+    },
+    |r| {
+        skip_opt_str(r, "wall user tag")?;
+        r.take(8).map(drop)
+    },
+];
+
+/// Checks a name, a group and `numbers` bytes of fixed-width fields.
+fn check_named_row(r: &mut Reader<'_>, numbers: usize) -> Result<(), CodecError> {
+    r.skip_str()?;
+    group_from_u8(r.u8()?)?;
+    r.take(numbers).map(drop)
+}
+
+/// Byte offset of the pid: after the magic and the version.
+const PID_AT: usize = 6;
+/// Byte offset of the comm's length prefix.
+const COMM_AT: usize = 10;
+
+/// A binary profile held as its bytes plus the byte offset of every row —
+/// what the KTAUD server and each client mirror store.  Deltas are computed
+/// by comparing row byte ranges ([`EncodedProfile::delta`]) and applied by
+/// splicing them ([`EncodedProfile::apply`]), with output byte-identical to
+/// the [`ProfileDelta`] struct codec.  Every instance holds a profile
+/// [`decode_profile`] accepts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedProfile {
+    bytes: Vec<u8>,
+    /// Row boundaries: per section in wire order, the start offset of each
+    /// row followed by the offset where the section's last row ends.
+    bounds: Vec<usize>,
+    /// Index in `bounds` where each section's boundaries begin.
+    first: [usize; SECTIONS],
+}
+
+impl EncodedProfile {
+    /// Checks `bytes` and indexes their rows.  Accepts exactly what
+    /// [`decode_profile`] accepts, failing with the same [`CodecError`].
+    pub fn parse(bytes: Vec<u8>) -> Result<Self, CodecError> {
+        let mut r = Reader::new(&bytes);
+        read_header(&mut r)?;
+        let mut bounds = Vec::new();
+        let mut first = [0; SECTIONS];
+        for (s, check) in ROW_CHECKS.iter().enumerate() {
+            let n = r.u32()? as usize;
+            first[s] = bounds.len();
+            bounds.reserve(n.min(4096) + 1);
+            for _ in 0..n {
+                bounds.push(r.position());
+                check(&mut r)?;
+            }
+            bounds.push(r.position());
+        }
+        r.expect_end()?;
+        Ok(EncodedProfile {
+            bytes,
+            bounds,
+            first,
+        })
+    }
+
+    /// Encodes a decoded snapshot.
+    pub fn encode(p: &ProfileSnapshot) -> Self {
+        Self::parse(encode_profile(p)).expect("encode_profile writes a well-formed profile")
+    }
+
+    /// The `encode_profile` bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Decodes the snapshot these bytes encode.
+    pub fn decode(&self) -> ProfileSnapshot {
+        decode_profile(&self.bytes).expect("an EncodedProfile holds a well-formed profile")
+    }
+
+    fn u32_at(&self, at: usize) -> u32 {
+        u32::from_le_bytes(self.bytes[at..at + 4].try_into().expect("4 bytes"))
+    }
+
+    fn pid(&self) -> u32 {
+        self.u32_at(PID_AT)
+    }
+
+    /// End of the length-prefixed comm, where the node field begins.
+    fn comm_end(&self) -> usize {
+        COMM_AT + 4 + self.u32_at(COMM_AT) as usize
+    }
+
+    fn node(&self) -> u32 {
+        self.u32_at(self.comm_end())
+    }
+
+    /// Offset of the `taken_ns` field.
+    fn taken_at(&self) -> usize {
+        self.comm_end() + 4
+    }
+
+    /// Section `s`'s row boundaries: one more than its row count.
+    fn section(&self, s: usize) -> &[usize] {
+        let end = self.first.get(s + 1).copied().unwrap_or(self.bounds.len());
+        &self.bounds[self.first[s]..end]
+    }
+
+    fn len(&self, s: usize) -> usize {
+        self.section(s).len() - 1
+    }
+
+    fn rows(&self, s: usize) -> impl Iterator<Item = &[u8]> {
+        self.section(s).windows(2).map(|b| &self.bytes[b[0]..b[1]])
+    }
+
+    fn row(&self, s: usize, i: usize) -> Option<&[u8]> {
+        let b = self.section(s);
+        (i + 1 < b.len()).then(|| &self.bytes[b[i]..b[i + 1]])
+    }
+
+    /// Content equality ignoring the capture timestamp: byte equality
+    /// outside the `taken_ns` field.
+    pub fn same_content(&self, other: &EncodedProfile) -> bool {
+        let t = self.taken_at();
+        self.bytes.len() == other.bytes.len()
+            && self.bytes[..t] == other.bytes[..t]
+            && self.bytes[t + 8..] == other.bytes[t + 8..]
+    }
+
+    /// The `KTAD` delta from this profile (sequence `base_seq`) to `new`
+    /// (sequence `seq`) of the same process: every row whose bytes differ
+    /// from the baseline's row at the same index ships.  Byte-identical to
+    /// `encode_delta(&profile_delta(..))` of the decoded pair.
+    pub fn delta(&self, new: &EncodedProfile, base_seq: u64, seq: u64) -> Vec<u8> {
+        debug_assert_eq!(self.pid(), new.pid(), "delta across different pids");
+        debug_assert_eq!(self.node(), new.node(), "delta across different nodes");
+        let mut w = Writer::new();
+        w.bytes(DELTA_MAGIC);
+        w.u16(DELTA_VERSION);
+        w.u32(new.pid());
+        w.u32(new.node());
+        w.u64(base_seq);
+        w.u64(seq);
+        w.bytes(&new.bytes[new.taken_at()..new.taken_at() + 8]);
+        let comm = &new.bytes[COMM_AT..new.comm_end()];
+        if comm == &self.bytes[COMM_AT..self.comm_end()] {
+            w.u8(0);
+        } else {
+            w.u8(1);
+            w.bytes(comm);
+        }
+        for s in 0..SECTIONS {
+            w.u32(new.len(s) as u32);
+            let mut base = self.rows(s);
+            let changed = new
+                .rows(s)
+                .enumerate()
+                .filter(|&(_, row)| base.next() != Some(row));
+            write_rows(&mut w, changed, |w, (i, row)| {
+                w.u32(i as u32);
+                w.bytes(row);
+            });
+        }
+        w.u64(check_digest(&new.bytes));
+        w.into_vec()
+    }
+
+    /// Applies a `KTAD` delta to this baseline, yielding the profile it
+    /// describes.  The delta is checked as [`decode_delta`] checks it, then
+    /// base rows and shipped rows are spliced into new bytes, and the
+    /// delta's check digest is verified over them.
+    ///
+    /// Fails with [`CodecError::Corrupt`] when a section claims more rows
+    /// than the baseline and the delta hold together (before allocating for
+    /// it), and with [`CodecError::DeltaMismatch`] when this is not the
+    /// baseline the delta was computed against: identity fields disagree, a
+    /// shipped index is out of range, an appended row is missing, or the
+    /// result fails the check digest.
+    pub fn apply(&self, delta: &[u8]) -> Result<EncodedProfile, CodecError> {
+        let d = DeltaView::parse(delta)?;
+        if d.pid != self.pid() || d.node != self.node() {
+            return Err(CodecError::DeltaMismatch);
+        }
+        for s in 0..SECTIONS {
+            if d.new_len[s] as usize > self.len(s) + d.shipped(s).len() {
+                return Err(CodecError::Corrupt("delta section longer than its rows"));
+            }
+        }
+        let mut w = Writer::with_capacity(self.bytes.len() + delta.len());
+        w.bytes(&self.bytes[..COMM_AT]);
+        match d.comm {
+            Some(comm) => w.str(comm),
+            None => w.bytes(&self.bytes[COMM_AT..self.comm_end()]),
+        }
+        w.u32(d.node);
+        w.u64(d.taken_ns);
+        let mut bounds = Vec::with_capacity(self.bounds.len() + d.shipped.len());
+        let mut first = [0; SECTIONS];
+        let mut src: Vec<Option<&[u8]>> = Vec::new();
+        for (s, section_start) in first.iter_mut().enumerate() {
+            // Base rows under the new length, overwritten by shipped rows
+            // (the last one shipped for an index wins).
+            src.clear();
+            src.extend((0..d.new_len[s] as usize).map(|i| self.row(s, i)));
+            for &(i, row) in d.shipped(s) {
+                *src.get_mut(i as usize).ok_or(CodecError::DeltaMismatch)? = Some(row);
+            }
+            w.u32(d.new_len[s]);
+            *section_start = bounds.len();
+            for row in &src {
+                bounds.push(w.len());
+                w.bytes(row.ok_or(CodecError::DeltaMismatch)?);
+            }
+            bounds.push(w.len());
+        }
+        let bytes = w.into_vec();
+        if check_digest(&bytes) != d.check {
+            return Err(CodecError::DeltaMismatch);
+        }
+        Ok(EncodedProfile {
+            bytes,
+            bounds,
+            first,
+        })
+    }
+}
+
+/// A `KTAD` delta checked field by field as [`decode_delta`] checks it,
+/// with each shipped row left as a byte range of the input.
+struct DeltaView<'a> {
+    pid: u32,
+    node: u32,
+    taken_ns: Ns,
+    comm: Option<&'a str>,
+    /// Per section: its length after the delta.
+    new_len: [u32; SECTIONS],
+    /// Shipped `(index, row)` pairs of every section, in wire order.
+    shipped: Vec<(u32, &'a [u8])>,
+    /// Per section: where its run in `shipped` ends.
+    shipped_end: [usize; SECTIONS],
+    check: u64,
+}
+
+impl<'a> DeltaView<'a> {
+    fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        if r.take(4)? != DELTA_MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let ver = r.u16()?;
+        if ver != DELTA_VERSION {
+            return Err(CodecError::BadVersion(ver));
+        }
+        let pid = r.u32()?;
+        let node = r.u32()?;
+        r.u64()?; // base_seq
+        r.u64()?; // seq
+        let taken_ns = r.u64()?;
+        let comm = read_opt_str(&mut r, "delta comm tag")?;
+        let mut new_len = [0; SECTIONS];
+        let mut shipped = Vec::new();
+        let mut shipped_end = [0; SECTIONS];
+        for (s, check) in ROW_CHECKS.iter().enumerate() {
+            new_len[s] = r.u32()?;
+            for _ in 0..r.u32()? {
+                let i = r.u32()?;
+                let at = r.position();
+                check(&mut r)?;
+                shipped.push((i, &bytes[at..r.position()]));
+            }
+            shipped_end[s] = shipped.len();
+        }
+        let check = r.u64()?;
+        r.expect_end()?;
+        Ok(DeltaView {
+            pid,
+            node,
+            taken_ns,
+            comm,
+            new_len,
+            shipped,
+            shipped_end,
+            check,
+        })
+    }
+
+    /// Section `s`'s shipped `(index, row)` pairs.
+    fn shipped(&self, s: usize) -> &[(u32, &'a [u8])] {
+        let start = if s == 0 { 0 } else { self.shipped_end[s - 1] };
+        &self.shipped[start..self.shipped_end[s]]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -475,7 +810,7 @@ pub const DELTA_VERSION: u16 = 1;
 /// An index-based diff of one snapshot section: the rows whose content
 /// changed (or that are new) since the baseline, plus the section's new
 /// length.  Profile sections are append-mostly (a row's identity is its
-/// position; `Profile` hands out dense ids and `capture` sorts stably), so
+/// position; `Profile` hands out dense ids and the encoder sorts stably), so
 /// positional diffs stay small for steady-state sweeps.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SectionDelta<T> {
@@ -486,41 +821,13 @@ pub struct SectionDelta<T> {
     pub changed: Vec<(u32, T)>,
 }
 
-impl<T: Clone + PartialEq> SectionDelta<T> {
-    fn diff(base: &[T], new: &[T]) -> Self {
-        let mut changed = Vec::new();
-        for (i, row) in new.iter().enumerate() {
-            if base.get(i) != Some(row) {
-                changed.push((i as u32, row.clone()));
-            }
-        }
-        SectionDelta {
-            new_len: new.len() as u32,
-            changed,
-        }
-    }
-
-    fn apply(&self, base: &[T]) -> Result<Vec<T>, CodecError> {
-        let n = self.new_len as usize;
-        let mut out: Vec<Option<T>> = base.iter().take(n).cloned().map(Some).collect();
-        out.resize(n, None);
-        for (i, row) in &self.changed {
-            let slot = out.get_mut(*i as usize).ok_or(CodecError::DeltaMismatch)?;
-            *slot = Some(row.clone());
-        }
-        // Appended positions beyond the baseline must all have been shipped.
-        out.into_iter()
-            .map(|r| r.ok_or(CodecError::DeltaMismatch))
-            .collect()
-    }
-}
-
 /// An incremental update from one profile snapshot (`base_seq`) to the next
 /// (`seq`), as shipped by the KTAUD monitoring service to a subscribed
-/// client.  The `check` digest is FNV-1a over the *binary encoding of the
-/// full new snapshot*: [`apply_delta`] re-encodes its reconstruction and
-/// verifies it, making `apply(base, delta) == full` a checked invariant —
-/// a client can never silently drift from the server's view.
+/// client — the decoded form of a `KTAD` delta.  The `check` digest is
+/// FNV-1a over the *binary encoding of the full new snapshot*: applying a
+/// delta verifies it over the reconstruction, making
+/// `apply(base, delta) == full` a checked invariant — a client can never
+/// silently drift from the server's view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDelta {
     /// Process id (must match the baseline's).
@@ -561,15 +868,8 @@ impl ProfileDelta {
     }
 }
 
-/// FNV-1a digest of a snapshot's binary encoding — the delta check value.
-pub fn profile_check_digest(p: &ProfileSnapshot) -> u64 {
-    profile_check_digest_of(&encode_profile(p))
-}
-
-/// [`profile_check_digest`] over an already-encoded snapshot.  Callers that
-/// hold the `encode_profile` bytes (the KTAUD sweep reads them straight off
-/// `/proc/ktau`) hash those instead of re-encoding the snapshot.
-pub fn profile_check_digest_of(encoded: &[u8]) -> u64 {
+/// FNV-1a digest of a profile's binary encoding — the delta check value.
+fn check_digest(encoded: &[u8]) -> u64 {
     let mut h = crate::digest::FNV_OFFSET;
     crate::digest::fnv_bytes(&mut h, encoded);
     h
@@ -577,83 +877,34 @@ pub fn profile_check_digest_of(encoded: &[u8]) -> u64 {
 
 /// Computes the delta from `base` (sequence `base_seq`) to `new` (sequence
 /// `seq`).  Both snapshots must describe the same process on the same node.
+/// An adapter over [`EncodedProfile::delta`].
 pub fn profile_delta(
     base: &ProfileSnapshot,
     new: &ProfileSnapshot,
     base_seq: u64,
     seq: u64,
 ) -> ProfileDelta {
-    profile_delta_with_check(base, new, base_seq, seq, profile_check_digest(new))
+    let bytes = EncodedProfile::encode(base).delta(&EncodedProfile::encode(new), base_seq, seq);
+    decode_delta(&bytes).expect("EncodedProfile::delta writes a well-formed delta")
 }
 
-/// [`profile_delta`] with the check digest supplied by the caller, who must
-/// have computed it as [`profile_check_digest_of`] over `new`'s binary
-/// encoding.  Skips the full re-encode of `new` that [`profile_delta`]
-/// performs — the KTAUD sweep already holds those bytes from the
-/// `/proc/ktau` read.
-pub fn profile_delta_with_check(
-    base: &ProfileSnapshot,
-    new: &ProfileSnapshot,
-    base_seq: u64,
-    seq: u64,
-    check: u64,
-) -> ProfileDelta {
-    debug_assert_eq!(base.pid, new.pid, "delta across different pids");
-    debug_assert_eq!(base.node, new.node, "delta across different nodes");
-    debug_assert_eq!(check, profile_check_digest(new), "wrong check digest");
-    ProfileDelta {
-        pid: new.pid,
-        node: new.node,
-        base_seq,
-        seq,
-        taken_ns: new.taken_ns,
-        comm: (base.comm != new.comm).then(|| new.comm.clone()),
-        kernel_events: SectionDelta::diff(&base.kernel_events, &new.kernel_events),
-        kernel_atomics: SectionDelta::diff(&base.kernel_atomics, &new.kernel_atomics),
-        user_events: SectionDelta::diff(&base.user_events, &new.user_events),
-        merged: SectionDelta::diff(&base.merged, &new.merged),
-        kernel_wall: SectionDelta::diff(&base.kernel_wall, &new.kernel_wall),
-        check,
-    }
-}
-
-/// Reconstructs the full snapshot `delta` describes from its baseline.
-///
-/// Fails with [`CodecError::DeltaMismatch`] when the baseline is not the one
-/// the delta was computed against: identity fields disagree, an appended row
-/// is missing, or — the catch-all — the reconstruction's binary encoding
-/// does not hash to the delta's `check` digest.
+/// Reconstructs the full snapshot `delta` describes from its baseline.  An
+/// adapter over [`EncodedProfile::apply`], failing as it does.
 pub fn apply_delta(
     base: &ProfileSnapshot,
     delta: &ProfileDelta,
 ) -> Result<ProfileSnapshot, CodecError> {
-    if base.pid != delta.pid || base.node != delta.node {
-        return Err(CodecError::DeltaMismatch);
-    }
-    let full = ProfileSnapshot {
-        pid: delta.pid,
-        comm: delta.comm.clone().unwrap_or_else(|| base.comm.clone()),
-        node: delta.node,
-        taken_ns: delta.taken_ns,
-        kernel_events: delta.kernel_events.apply(&base.kernel_events)?,
-        kernel_atomics: delta.kernel_atomics.apply(&base.kernel_atomics)?,
-        user_events: delta.user_events.apply(&base.user_events)?,
-        merged: delta.merged.apply(&base.merged)?,
-        kernel_wall: delta.kernel_wall.apply(&base.kernel_wall)?,
-    };
-    if profile_check_digest(&full) != delta.check {
-        return Err(CodecError::DeltaMismatch);
-    }
-    Ok(full)
+    EncodedProfile::encode(base)
+        .apply(&encode_delta(delta))
+        .map(|full| full.decode())
 }
 
 fn write_section<T>(w: &mut Writer, s: &SectionDelta<T>, write_row: impl Fn(&mut Writer, &T)) {
     w.u32(s.new_len);
-    w.u32(s.changed.len() as u32);
-    for (i, row) in &s.changed {
+    write_rows(w, &s.changed, |w, (i, row)| {
         w.u32(*i);
         write_row(w, row);
-    }
+    });
 }
 
 fn read_section<T>(
@@ -661,12 +912,7 @@ fn read_section<T>(
     read_row: impl Fn(&mut Reader<'_>) -> Result<T, CodecError>,
 ) -> Result<SectionDelta<T>, CodecError> {
     let new_len = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut changed = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let i = r.u32()?;
-        changed.push((i, read_row(r)?));
-    }
+    let changed = read_rows(r, |r| Ok((r.u32()?, read_row(r)?)))?;
     Ok(SectionDelta { new_len, changed })
 }
 
@@ -680,12 +926,29 @@ pub fn encode_delta(d: &ProfileDelta) -> Vec<u8> {
     w.u64(d.base_seq);
     w.u64(d.seq);
     w.u64(d.taken_ns);
-    write_opt_str(&mut w, &d.comm);
-    write_section(&mut w, &d.kernel_events, write_event_row);
-    write_section(&mut w, &d.kernel_atomics, write_atomic_row);
-    write_section(&mut w, &d.user_events, write_event_row);
-    write_section(&mut w, &d.merged, write_merged_row);
-    write_section(&mut w, &d.kernel_wall, write_wall_row);
+    write_opt_str(&mut w, d.comm.as_deref());
+    write_section(&mut w, &d.kernel_events, |w, r| {
+        write_event_row(w, &r.name, r.group, &r.stats)
+    });
+    write_section(&mut w, &d.kernel_atomics, |w, r| {
+        write_atomic_row(w, &r.name, r.group, &r.stats)
+    });
+    write_section(&mut w, &d.user_events, |w, r| {
+        write_event_row(w, &r.name, r.group, &r.stats)
+    });
+    write_section(&mut w, &d.merged, |w, r| {
+        write_merged_row(
+            w,
+            r.user.as_deref(),
+            &r.kernel,
+            r.kernel_group,
+            r.count,
+            r.ns,
+        )
+    });
+    write_section(&mut w, &d.kernel_wall, |w, (u, ns)| {
+        write_wall_row(w, u.as_deref(), *ns)
+    });
     w.u64(d.check);
     w.into_vec()
 }
@@ -706,7 +969,7 @@ pub fn decode_delta(bytes: &[u8]) -> Result<ProfileDelta, CodecError> {
         base_seq: r.u64()?,
         seq: r.u64()?,
         taken_ns: r.u64()?,
-        comm: read_opt_str(&mut r, "delta comm tag")?,
+        comm: read_opt_str(&mut r, "delta comm tag")?.map(str::to_owned),
         kernel_events: read_section(&mut r, read_event_row)?,
         kernel_atomics: read_section(&mut r, read_atomic_row)?,
         user_events: read_section(&mut r, read_event_row)?,
@@ -1107,6 +1370,21 @@ mod tests {
             decode_delta(&encode_profile(&base)),
             Err(CodecError::BadMagic)
         );
+    }
+
+    #[test]
+    fn same_content_ignores_only_the_timestamp() {
+        let base = sample_snapshot();
+        let enc = EncodedProfile::encode(&base);
+        let mut later = base.clone();
+        later.taken_ns += 1;
+        assert!(enc.same_content(&EncodedProfile::encode(&later)));
+        // A longer comm shifts every later field; so does a changed row.
+        later.comm.push('x');
+        assert!(!enc.same_content(&EncodedProfile::encode(&later)));
+        let mut moved = base.clone();
+        moved.kernel_events[0].stats.count += 1;
+        assert!(!enc.same_content(&EncodedProfile::encode(&moved)));
     }
 
     #[test]

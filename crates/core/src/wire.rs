@@ -57,8 +57,12 @@ pub struct Writer {
 impl Writer {
     /// An empty writer.
     pub fn new() -> Self {
+        Self::with_capacity(256)
+    }
+    /// An empty writer with room for `n` bytes before it reallocates.
+    pub fn with_capacity(n: usize) -> Self {
         Writer {
-            buf: Vec::with_capacity(256),
+            buf: Vec::with_capacity(n),
         }
     }
     /// Appends raw bytes verbatim (magic prefixes, pre-encoded blobs).
@@ -89,6 +93,11 @@ impl Writer {
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// Overwrites the `u32` written earlier at byte offset `at` — a count
+    /// placeholder, patched once the elements after it are known.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
     /// Bytes written so far.
     pub fn len(&self) -> usize {
@@ -166,9 +175,24 @@ impl<'a> Reader<'a> {
     }
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_owned)
+    }
+    /// [`Reader::str`] borrowing from the input instead of allocating.
+    pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadField("utf8"))
+        std::str::from_utf8(self.take(n)?).map_err(|_| CodecError::BadField("utf8"))
+    }
+    /// Skips a length-prefixed string, failing exactly as [`Reader::str`]
+    /// would.  Short ASCII names — nearly every name — pass a plain ASCII
+    /// scan, far cheaper than the general UTF-8 validator's per-call setup.
+    pub fn skip_str(&mut self) -> Result<(), CodecError> {
+        let n = self.u32()? as usize;
+        let b = self.take(n)?;
+        if b.is_ascii() || std::str::from_utf8(b).is_ok() {
+            Ok(())
+        } else {
+            Err(CodecError::BadField("utf8"))
+        }
     }
     /// Reads a `u32` element count and validates it against the bytes
     /// actually left in the input: each element occupies at least
@@ -186,6 +210,10 @@ impl<'a> Reader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+    /// Bytes consumed so far: the offset of the next field.
+    pub fn position(&self) -> usize {
+        self.pos
     }
     /// Fails with [`CodecError::TrailingBytes`] unless every input byte has
     /// been consumed.  Call this after decoding a complete image.

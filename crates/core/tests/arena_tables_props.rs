@@ -8,6 +8,9 @@
 //! parity of the dense v1 wire image against one hand-encoded from the
 //! model.
 
+mod common;
+
+use common::*;
 use ktau_core::measure::{MergedStats, MergedTable, WallTable};
 use ktau_core::profile::{AtomicStats, EntryExitStats, Profile};
 use ktau_core::wire::{Reader, Writer};
@@ -55,46 +58,6 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
 // Profile: probes (start/stop), batch folds (record_repeat), scheduler
 // intervals, atomics, resets
 // ---------------------------------------------------------------------------
-
-const IDS: u32 = 40;
-
-#[derive(Debug, Clone)]
-enum POp {
-    Start {
-        id: u32,
-        dwell: u64,
-    },
-    Stop {
-        dwell: u64,
-    },
-    RecordRepeat {
-        id: u32,
-        incl: u64,
-        extra: u64,
-        n: u64,
-    },
-    AddInterval {
-        id: u32,
-        d: u64,
-    },
-    Atomic {
-        id: u32,
-        v: u64,
-    },
-    Reset,
-}
-
-fn arb_pop() -> impl Strategy<Value = POp> {
-    prop_oneof![
-        (0..IDS, 1..500u64).prop_map(|(id, dwell)| POp::Start { id, dwell }),
-        (1..500u64).prop_map(|dwell| POp::Stop { dwell }),
-        (0..IDS, 1..1000u64, 0..300u64, 1..5u64)
-            .prop_map(|(id, incl, extra, n)| POp::RecordRepeat { id, incl, extra, n }),
-        (0..IDS, 1..800u64).prop_map(|(id, d)| POp::AddInterval { id, d }),
-        (0..IDS, 0..10_000u64).prop_map(|(id, v)| POp::Atomic { id, v }),
-        Just(POp::Reset),
-    ]
-}
 
 /// Mirror of one live activation frame, kept so the model can reproduce the
 /// stop-time inclusive/exclusive arithmetic and the v1 stack encoding.
@@ -284,45 +247,6 @@ proptest! {
 // dense-shape watermarks without becoming observations), clears
 // ---------------------------------------------------------------------------
 
-const USERS: u32 = 10;
-const KERNELS: u32 = 24;
-
-#[derive(Debug, Clone)]
-enum MOp {
-    Add {
-        user: Option<u32>,
-        kernel: u32,
-        ns: u64,
-        n: u64,
-    },
-    Touch {
-        user: Option<u32>,
-        kernel: u32,
-    },
-    Clear,
-}
-
-fn arb_user() -> impl Strategy<Value = Option<u32>> {
-    prop_oneof![Just(None), (0..USERS).prop_map(Some)]
-}
-
-fn arb_mop() -> impl Strategy<Value = MOp> {
-    prop_oneof![
-        (arb_user(), 0..KERNELS, 1..1000u64, 1..4u64).prop_map(|(user, kernel, ns, n)| MOp::Add {
-            user,
-            kernel,
-            ns,
-            n
-        }),
-        (arb_user(), 0..KERNELS).prop_map(|(user, kernel)| MOp::Touch { user, kernel }),
-        Just(MOp::Clear),
-    ]
-}
-
-fn mkey(user: Option<u32>, kernel: u32) -> (Option<EventId>, EventId) {
-    (user.map(EventId), EventId(kernel))
-}
-
 fn mslot(user: Option<u32>) -> usize {
     user.map_or(0, |u| u as usize + 1)
 }
@@ -416,19 +340,6 @@ proptest! {
 // WallTable: sparse entries vs the old Vec<Option<Ns>> — presence must keep
 // distinguishing "never recorded" from an accumulated zero
 // ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum WOp {
-    Add { user: Option<u32>, ns: u64 },
-    Clear,
-}
-
-fn arb_wop() -> impl Strategy<Value = WOp> {
-    prop_oneof![
-        (arb_user(), 0..800u64).prop_map(|(user, ns)| WOp::Add { user, ns }),
-        Just(WOp::Clear),
-    ]
-}
 
 proptest! {
     #[test]

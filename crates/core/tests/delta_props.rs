@@ -2,12 +2,16 @@
 //! (escape characters, sentinels, unicode, empty strings) and for the
 //! incremental delta codec: `apply(base, delta) == full` across random
 //! mutation sequences, with tampered baselines never silently diverging.
+//! The byte-level delta and apply of `EncodedProfile` are checked against
+//! the struct diff and apply they replaced, kept here as the reference
+//! model.
 
+use ktau_core::digest::{fnv_bytes, FNV_OFFSET};
 use ktau_core::profile::{AtomicStats, EntryExitStats};
 use ktau_core::snapshot::{
     apply_delta, decode_delta, decode_profile, encode_delta, encode_profile, profile_delta,
-    profile_from_ascii, profile_to_ascii, AtomicRow, CodecError, EventRow, MergedRow,
-    ProfileSnapshot,
+    profile_from_ascii, profile_to_ascii, AtomicRow, CodecError, EncodedProfile, EventRow,
+    MergedRow, ProfileDelta, ProfileSnapshot, SectionDelta,
 };
 use ktau_core::Group;
 use proptest::prelude::*;
@@ -305,10 +309,11 @@ proptest! {
         prop_assert_eq!(decode_delta(&padded).unwrap_err(), CodecError::TrailingBytes);
     }
 
-    /// Applying a delta against a *tampered* baseline either fails with
-    /// `DeltaMismatch` or — when the delta happens to overwrite everything
-    /// the tampering touched — still reconstructs the true snapshot.  It
-    /// never silently produces anything else.
+    /// Applying a delta against a *tampered* baseline either fails — with
+    /// `DeltaMismatch`, or `Corrupt` when the baseline is too short for the
+    /// section lengths the delta claims — or, when the delta happens to
+    /// overwrite everything the tampering touched, still reconstructs the
+    /// true snapshot.  It never silently produces anything else.
     #[test]
     fn tampered_baseline_never_silently_diverges(
         base in arb_snapshot(),
@@ -326,7 +331,248 @@ proptest! {
         }
         match apply_delta(&bad_base, &d) {
             Ok(got) => prop_assert_eq!(got, new),
-            Err(e) => prop_assert_eq!(e, CodecError::DeltaMismatch),
+            Err(e) => prop_assert!(
+                matches!(e, CodecError::DeltaMismatch | CodecError::Corrupt(_)),
+                "unexpected error {e:?}"
+            ),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Byte-level delta and apply against the struct reference model
+// ---------------------------------------------------------------------------
+
+/// Reference diff: every row that differs from the baseline's row at the
+/// same index ships.
+fn ref_diff<T: Clone + PartialEq>(base: &[T], new: &[T]) -> SectionDelta<T> {
+    let changed = new
+        .iter()
+        .enumerate()
+        .filter(|&(i, row)| base.get(i) != Some(row))
+        .map(|(i, row)| (i as u32, row.clone()))
+        .collect();
+    SectionDelta {
+        new_len: new.len() as u32,
+        changed,
+    }
+}
+
+/// Reference apply: base rows truncated or padded to the new length,
+/// shipped rows written over them (the last one for an index wins), and
+/// every position filled.
+fn ref_apply<T: Clone>(d: &SectionDelta<T>, base: &[T]) -> Result<Vec<T>, CodecError> {
+    let n = d.new_len as usize;
+    let mut out: Vec<Option<T>> = base.iter().take(n).cloned().map(Some).collect();
+    out.resize(n, None);
+    for (i, row) in &d.changed {
+        let slot = out.get_mut(*i as usize).ok_or(CodecError::DeltaMismatch)?;
+        *slot = Some(row.clone());
+    }
+    out.into_iter()
+        .map(|r| r.ok_or(CodecError::DeltaMismatch))
+        .collect()
+}
+
+fn check_digest(p: &ProfileSnapshot) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv_bytes(&mut h, &encode_profile(p));
+    h
+}
+
+fn ref_profile_delta(
+    base: &ProfileSnapshot,
+    new: &ProfileSnapshot,
+    base_seq: u64,
+    seq: u64,
+) -> ProfileDelta {
+    ProfileDelta {
+        pid: new.pid,
+        node: new.node,
+        base_seq,
+        seq,
+        taken_ns: new.taken_ns,
+        comm: (base.comm != new.comm).then(|| new.comm.clone()),
+        kernel_events: ref_diff(&base.kernel_events, &new.kernel_events),
+        kernel_atomics: ref_diff(&base.kernel_atomics, &new.kernel_atomics),
+        user_events: ref_diff(&base.user_events, &new.user_events),
+        merged: ref_diff(&base.merged, &new.merged),
+        kernel_wall: ref_diff(&base.kernel_wall, &new.kernel_wall),
+        check: check_digest(new),
+    }
+}
+
+fn ref_apply_delta(
+    base: &ProfileSnapshot,
+    d: &ProfileDelta,
+) -> Result<ProfileSnapshot, CodecError> {
+    if base.pid != d.pid || base.node != d.node {
+        return Err(CodecError::DeltaMismatch);
+    }
+    let full = ProfileSnapshot {
+        pid: d.pid,
+        comm: d.comm.clone().unwrap_or_else(|| base.comm.clone()),
+        node: d.node,
+        taken_ns: d.taken_ns,
+        kernel_events: ref_apply(&d.kernel_events, &base.kernel_events)?,
+        kernel_atomics: ref_apply(&d.kernel_atomics, &base.kernel_atomics)?,
+        user_events: ref_apply(&d.user_events, &base.user_events)?,
+        merged: ref_apply(&d.merged, &base.merged)?,
+        kernel_wall: ref_apply(&d.kernel_wall, &base.kernel_wall)?,
+    };
+    if check_digest(&full) != d.check {
+        return Err(CodecError::DeltaMismatch);
+    }
+    Ok(full)
+}
+
+/// One edit to a delta section, making deltas the diff would never write:
+/// shuffled or duplicated indices, rows shipped at arbitrary positions,
+/// dropped rows, and section lengths off by a few.
+#[derive(Debug, Clone)]
+enum SectionEdit {
+    Reverse,
+    Duplicate(u32),
+    Drop(u32),
+    ShipAt { index: u32, pick: u32 },
+    Len(i32),
+}
+
+fn arb_section_edit() -> impl Strategy<Value = SectionEdit> {
+    prop_oneof![
+        Just(SectionEdit::Reverse),
+        any::<u32>().prop_map(SectionEdit::Duplicate),
+        any::<u32>().prop_map(SectionEdit::Drop),
+        (0..12u32, any::<u32>()).prop_map(|(index, pick)| SectionEdit::ShipAt { index, pick }),
+        (-3..4i32).prop_map(SectionEdit::Len),
+    ]
+}
+
+/// Applies `e` to one section; `pool` supplies rows to ship.
+fn edit_section<T: Clone>(d: &mut SectionDelta<T>, e: &SectionEdit, pool: &[T]) {
+    let n = d.changed.len();
+    match *e {
+        SectionEdit::Reverse => d.changed.reverse(),
+        SectionEdit::Duplicate(k) if n > 0 => {
+            let dup = d.changed[k as usize % n].clone();
+            d.changed.push(dup);
+        }
+        SectionEdit::Drop(k) if n > 0 => {
+            d.changed.remove(k as usize % n);
+        }
+        SectionEdit::ShipAt { index, pick } if !pool.is_empty() => {
+            let row = pool[pick as usize % pool.len()].clone();
+            d.changed.insert(pick as usize % (n + 1), (index, row));
+        }
+        SectionEdit::Len(by) => d.new_len = d.new_len.saturating_add_signed(by),
+        _ => {}
+    }
+}
+
+fn edit_delta(d: &mut ProfileDelta, section: usize, e: &SectionEdit, pool: &ProfileSnapshot) {
+    match section {
+        0 => edit_section(&mut d.kernel_events, e, &pool.kernel_events),
+        1 => edit_section(&mut d.kernel_atomics, e, &pool.kernel_atomics),
+        2 => edit_section(&mut d.user_events, e, &pool.user_events),
+        3 => edit_section(&mut d.merged, e, &pool.merged),
+        _ => edit_section(&mut d.kernel_wall, e, &pool.kernel_wall),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The byte delta is exactly the encoding of the reference struct diff
+    /// — shrinking sections and `comm` changes included — and the struct
+    /// adapter decodes to the reference delta.
+    #[test]
+    fn byte_delta_equals_reference_encoding(
+        base in arb_snapshot(),
+        muts in proptest::collection::vec(arb_mutation(), 0..10),
+    ) {
+        let mut new = base.clone();
+        for m in &muts {
+            apply_mutation(&mut new, m);
+        }
+        let want = ref_profile_delta(&base, &new, 5, 6);
+        let bytes = EncodedProfile::encode(&base).delta(&EncodedProfile::encode(&new), 5, 6);
+        prop_assert_eq!(&bytes, &encode_delta(&want));
+        prop_assert_eq!(profile_delta(&base, &new, 5, 6), want);
+    }
+
+    /// On any well-formed delta — edited to ship out-of-order, duplicate or
+    /// misplaced indices under off-by-a-few lengths, against the true or a
+    /// tampered baseline — the byte apply succeeds exactly when the
+    /// reference apply does, and then with the reference's bytes.
+    #[test]
+    fn byte_apply_agrees_with_reference(
+        base in arb_snapshot(),
+        muts in proptest::collection::vec(arb_mutation(), 0..8),
+        edits in proptest::collection::vec((0..5usize, arb_section_edit()), 0..4),
+        tamper in proptest::collection::vec(arb_mutation(), 0..2),
+    ) {
+        let mut new = base.clone();
+        for m in &muts {
+            apply_mutation(&mut new, m);
+        }
+        let mut d = ref_profile_delta(&base, &new, 1, 2);
+        for (section, e) in &edits {
+            edit_delta(&mut d, *section, e, &new);
+        }
+        let mut applied_to = base.clone();
+        for m in &tamper {
+            apply_mutation(&mut applied_to, m);
+        }
+        let bytes = encode_delta(&d);
+        let got = EncodedProfile::encode(&applied_to).apply(&bytes);
+        let want = ref_apply_delta(&applied_to, &decode_delta(&bytes).unwrap());
+        prop_assert_eq!(got.is_ok(), want.is_ok(), "byte {:?} vs reference {:?}", got, want);
+        if let (Ok(got), Ok(want)) = (&got, &want) {
+            prop_assert_eq!(got.bytes(), encode_profile(want).as_slice());
+        }
+        prop_assert_eq!(apply_delta(&applied_to, &d).ok(), want.ok());
+    }
+}
+
+fn empty<T>() -> SectionDelta<T> {
+    SectionDelta {
+        new_len: 0,
+        changed: Vec::new(),
+    }
+}
+
+/// Regression: an 87-byte delta whose first section claims `u32::MAX`
+/// rows decodes, and applying it used to size a `u32::MAX`-slot buffer
+/// (hundreds of GB: an allocation failure aborts the process).  It is now
+/// rejected as corrupt before anything is allocated for it.
+#[test]
+fn hostile_section_length_is_rejected_before_allocating() {
+    let base = ProfileSnapshot {
+        pid: 7,
+        comm: String::new(),
+        ..Default::default()
+    };
+    let hostile = ProfileDelta {
+        pid: 7,
+        node: 0,
+        base_seq: 1,
+        seq: 2,
+        taken_ns: 0,
+        comm: None,
+        kernel_events: SectionDelta {
+            new_len: u32::MAX,
+            changed: Vec::new(),
+        },
+        kernel_atomics: empty(),
+        user_events: empty(),
+        merged: empty(),
+        kernel_wall: empty(),
+        check: 0,
+    };
+    let bytes = encode_delta(&hostile);
+    assert_eq!(bytes.len(), 87);
+    assert_eq!(decode_delta(&bytes).as_ref(), Ok(&hostile));
+    let corrupt = Err(CodecError::Corrupt("delta section longer than its rows"));
+    assert_eq!(EncodedProfile::encode(&base).apply(&bytes), corrupt);
+    assert_eq!(apply_delta(&base, &hostile).map(drop), corrupt.map(drop));
 }

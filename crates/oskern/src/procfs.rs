@@ -10,8 +10,13 @@
 
 use crate::node::Node;
 use crate::task::{Pid, TaskState};
-use ktau_core::snapshot::{encode_profile, ProfileSnapshot, TraceSnapshot};
+use ktau_core::snapshot::{encode_measurement, ProfileSnapshot, TraceSnapshot};
 use ktau_core::time::Ns;
+use ktau_core::wire::Writer;
+
+/// Most a profile read sets aside up front for the caller's buffer; a
+/// larger profile grows the buffer as it encodes.
+const READ_PREALLOC_MAX: usize = 1 << 20;
 
 /// Errors from `/proc/ktau` operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +49,7 @@ impl std::error::Error for ProcError {}
 
 impl Node {
     /// Builds the current profile snapshot of one process (the kernel-side
-    /// work behind `/proc/ktau/profile`).
+    /// work behind `/proc/ktau/profile`, decoded).
     pub fn profile_snapshot(&self, pid: Pid, now: Ns) -> Result<ProfileSnapshot, ProcError> {
         let t = self.task(pid).ok_or(ProcError::NoSuchPid(pid))?;
         Ok(ProfileSnapshot::capture(
@@ -57,10 +62,28 @@ impl Node {
         ))
     }
 
+    /// Encodes one process's profile straight from its measurement state
+    /// into a buffer sized for `capacity` bytes.
+    fn profile_bytes(&self, pid: Pid, now: Ns, capacity: usize) -> Result<Vec<u8>, ProcError> {
+        let t = self.task(pid).ok_or(ProcError::NoSuchPid(pid))?;
+        let mut w = Writer::with_capacity(capacity.min(READ_PREALLOC_MAX));
+        encode_measurement(
+            &mut w,
+            pid.0,
+            &t.comm,
+            self.id,
+            now,
+            &t.meas,
+            &self.registry,
+        );
+        Ok(w.into_vec())
+    }
+
     /// `/proc/ktau/profile` size query: bytes needed to read `pid`'s profile
     /// right now.
     pub fn proc_profile_size(&self, pid: Pid, now: Ns) -> Result<usize, ProcError> {
-        Ok(encode_profile(&self.profile_snapshot(pid, now)?).len())
+        // The size pass throws its buffer away: start it at a page.
+        Ok(self.profile_bytes(pid, now, 4096)?.len())
     }
 
     /// `/proc/ktau/profile` read: encodes `pid`'s profile into a
@@ -72,7 +95,7 @@ impl Node {
         buf_len: usize,
         now: Ns,
     ) -> Result<Vec<u8>, ProcError> {
-        let bytes = encode_profile(&self.profile_snapshot(pid, now)?);
+        let bytes = self.profile_bytes(pid, now, buf_len)?;
         if bytes.len() > buf_len {
             return Err(ProcError::BufferTooSmall {
                 needed: bytes.len(),

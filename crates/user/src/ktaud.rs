@@ -16,20 +16,21 @@
 //!   for every process into an in-memory history (the paper's original
 //!   periodic-dump design, fine at Chiba-City's 128 nodes);
 //! * [`KtaudService`] — the long-running monitoring service: per-client
-//!   subscription sessions with poll cursors, incremental
-//!   [`ProfileDelta`](ktau_core::snapshot::ProfileDelta)s instead of full
-//!   dumps, and an O(active) sweep that skips unchanged profiles via the
-//!   kernel's dirty-marking generation — the same design grown to
-//!   thousand-node scale with many concurrent observers.
+//!   subscription sessions with poll cursors, incremental `KTAD` deltas
+//!   instead of full dumps, and an O(active) sweep that skips unchanged
+//!   profiles via the kernel's dirty-marking generation — the same design
+//!   grown to thousand-node scale with many concurrent observers.
+//!
+//! The service and its client mirrors ([`KtaudMirror`]) hold profiles as
+//! [`EncodedProfile`]s — the `/proc/ktau` bytes indexed by row — and diff,
+//! splice and compare them as bytes; nothing on the update path decodes a
+//! profile into a [`ProfileSnapshot`].
 
-use crate::libktau::{ktau_get_profile_bytes, ktau_get_profiles, AccessMode, KtauError};
-use ktau_core::snapshot::{
-    apply_delta, decode_delta, decode_profile, encode_delta, encode_profile,
-    profile_check_digest_of, profile_delta_with_check, ProfileSnapshot,
-};
+use crate::libktau::{ktau_get_profiles, ktau_read_profile, AccessMode, KtauError};
+use ktau_core::snapshot::{EncodedProfile, ProfileSnapshot};
 use ktau_core::time::Ns;
 use ktau_oskern::{Cluster, FnProgram, Op, Pid, TaskKind, TaskSpec};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -342,8 +343,7 @@ pub struct ServiceStats {
 }
 
 struct Entry {
-    snap: ProfileSnapshot,
-    encoded: Vec<u8>,
+    profile: EncodedProfile,
     gen: u64,
     seq: u64,
     /// The most recent delta, as `(base_seq, encoded bytes)`; always spans
@@ -351,6 +351,8 @@ struct Entry {
     /// further behind takes a full sync.
     delta: Option<(u64, Vec<u8>)>,
     is_app: bool,
+    /// The last sweep that found the process live.
+    swept: u64,
 }
 
 struct ClientSession {
@@ -362,8 +364,13 @@ struct ClientSession {
 }
 
 /// KTAUD as a long-running monitoring service: one server-side store of
-/// per-process profile states, updated by O(active) sweeps, serving any
-/// number of subscribed clients incremental deltas through poll cursors.
+/// per-process profiles, updated by O(active) sweeps, serving any number of
+/// subscribed clients incremental deltas through poll cursors.
+///
+/// Per process the store holds the latest [`EncodedProfile`] (the raw
+/// `/proc/ktau` read, indexed by row), its generation and sequence number,
+/// and the encoded delta that reached it.  A changed capture costs one
+/// kernel encode, one row-index parse and one byte-level diff.
 ///
 /// Invariants:
 ///
@@ -371,9 +378,8 @@ struct ClientSession {
 ///   kernel-side generation moved (dirty-marking) — unchanged profiles cost
 ///   one integer compare;
 /// * `apply(base, delta) == full` is checked (delta check digests), and a
-///   client mirror that re-encodes its reconstruction gets bytes identical
-///   to the server's full encoding — enforced in tests and by
-///   `ktaud_scale --check` in CI.
+///   client mirror's reconstructed bytes are identical to the server's
+///   full encoding — enforced in tests and by `ktaud_scale --check` in CI.
 pub struct KtaudService {
     harness: Ktaud,
     store: BTreeMap<(u32, u32), Entry>,
@@ -414,71 +420,56 @@ impl KtaudService {
     pub fn sweep(&mut self, cluster: &mut Cluster) -> Result<(), KtauError> {
         self.harness.advance(cluster);
         self.stats.sweeps += 1;
-        let mut live: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let sweep = self.stats.sweeps;
         for &n in &self.harness.nodes {
             let node = cluster.node(n);
             for pid in node.proc_live_pids() {
-                live.insert((n, pid.0));
                 let gen = node.profile_gen(pid)?;
-                if let Some(e) = self.store.get(&(n, pid.0)) {
-                    if e.gen == gen {
-                        self.stats.gen_skips += 1;
-                        continue;
-                    }
-                }
-                self.stats.captures += 1;
+                let is_app = || node.task(pid).map(|t| t.kind == TaskKind::App) == Some(true);
                 // The read goes through libKtau's session-less `/proc/ktau`
                 // protocol like any other client, but the daemon amortizes
-                // it: the previous read's size seeds the buffer (skipping
-                // the size pass in steady state), and the returned bytes —
-                // exactly `encode_profile(&snap)` — become the stored full
-                // encoding and the delta check digest, so a changed capture
-                // encodes each profile once, not four times.
-                let hint = self
-                    .store
-                    .get(&(n, pid.0))
-                    .map(|e| e.encoded.len())
-                    .unwrap_or(0);
-                let (bytes, snap) = ktau_get_profile_bytes(cluster, n, pid, hint)?;
-                let is_app = node.task(pid).map(|t| t.kind == TaskKind::App) == Some(true);
-                match self.store.get_mut(&(n, pid.0)) {
-                    Some(e) => {
-                        if same_content(&e.snap, &snap) {
+                // it: the previous read's size seeds the buffer, skipping
+                // the size pass in steady state.
+                match self.store.entry((n, pid.0)) {
+                    btree_map::Entry::Occupied(mut o) => {
+                        let e = o.get_mut();
+                        e.swept = sweep;
+                        if e.gen == gen {
+                            self.stats.gen_skips += 1;
+                            continue;
+                        }
+                        self.stats.captures += 1;
+                        let profile = ktau_read_profile(cluster, n, pid, e.profile.bytes().len())?;
+                        e.gen = gen;
+                        if e.profile.same_content(&profile) {
                             // Generation moved but nothing observable did
                             // (e.g. an entry probe opened an activation that
                             // has not completed): no new sequence.
-                            e.gen = gen;
                             self.stats.unchanged_captures += 1;
                             continue;
                         }
-                        let check = profile_check_digest_of(&bytes);
-                        let d = profile_delta_with_check(&e.snap, &snap, e.seq, e.seq + 1, check);
-                        e.delta = Some((e.seq, encode_delta(&d)));
+                        e.delta = Some((e.seq, e.profile.delta(&profile, e.seq, e.seq + 1)));
                         e.seq += 1;
-                        e.encoded = bytes;
-                        e.snap = snap;
-                        e.gen = gen;
-                        e.is_app = is_app;
+                        e.profile = profile;
+                        e.is_app = is_app();
                     }
-                    None => {
-                        self.store.insert(
-                            (n, pid.0),
-                            Entry {
-                                encoded: bytes,
-                                snap,
-                                gen,
-                                seq: 1,
-                                delta: None,
-                                is_app,
-                            },
-                        );
+                    btree_map::Entry::Vacant(v) => {
+                        self.stats.captures += 1;
+                        v.insert(Entry {
+                            profile: ktau_read_profile(cluster, n, pid, 0)?,
+                            gen,
+                            seq: 1,
+                            delta: None,
+                            is_app: is_app(),
+                            swept: sweep,
+                        });
                     }
                 }
             }
         }
         // Processes that left the live set (exited) drop out of the store;
         // clients learn through removal notices at their next poll.
-        self.store.retain(|k, _| live.contains(k));
+        self.store.retain(|_, e| e.swept == sweep);
         Ok(())
     }
 
@@ -515,24 +506,27 @@ impl KtaudService {
             if !c.filter.admits(node, pid, e.is_app) {
                 continue;
             }
-            match c.cursors.get(&(node, pid)) {
-                Some(&cur) if cur == e.seq => {
+            // Sequences start at 1, so a fresh cursor of 0 is first contact.
+            let cur = c.cursors.entry((node, pid)).or_insert(0);
+            match &e.delta {
+                _ if *cur == e.seq => {
                     c.stats.skipped += 1;
                 }
-                Some(&cur)
-                    if cur + 1 == e.seq && matches!(&e.delta, Some((base, _)) if *base == cur) =>
-                {
-                    let bytes = e.delta.as_ref().expect("matched above").1.clone();
+                Some((base, bytes)) if *base == *cur && *cur + 1 == e.seq => {
                     c.stats.delta_syncs += 1;
                     c.stats.bytes_delta += bytes.len() as u64;
-                    c.cursors.insert((node, pid), e.seq);
-                    out.push(PollItem::Delta { node, pid, bytes });
+                    *cur = e.seq;
+                    out.push(PollItem::Delta {
+                        node,
+                        pid,
+                        bytes: bytes.clone(),
+                    });
                 }
                 _ => {
-                    let bytes = e.encoded.clone();
+                    let bytes = e.profile.bytes().to_vec();
                     c.stats.full_syncs += 1;
                     c.stats.bytes_full += bytes.len() as u64;
-                    c.cursors.insert((node, pid), e.seq);
+                    *cur = e.seq;
                     out.push(PollItem::FullSync { node, pid, bytes });
                 }
             }
@@ -558,31 +552,19 @@ impl KtaudService {
     /// The server's current full binary encoding for one process — the
     /// byte-identity reference a client reconstruction is checked against.
     pub fn encoded_full(&self, node: u32, pid: u32) -> Option<&[u8]> {
-        self.store.get(&(node, pid)).map(|e| e.encoded.as_slice())
+        self.store.get(&(node, pid)).map(|e| e.profile.bytes())
     }
 }
 
-/// Content equality ignoring the capture timestamp: a sweep that finds only
-/// `taken_ns` advanced treats the profile as unchanged and mints no
-/// sequence, so steady-state processes produce *no* traffic at all.
-fn same_content(a: &ProfileSnapshot, b: &ProfileSnapshot) -> bool {
-    a.pid == b.pid
-        && a.comm == b.comm
-        && a.node == b.node
-        && a.kernel_events == b.kernel_events
-        && a.kernel_atomics == b.kernel_atomics
-        && a.user_events == b.user_events
-        && a.merged == b.merged
-        && a.kernel_wall == b.kernel_wall
-}
-
-/// Client-side reconstruction state: applies [`PollItem`]s and maintains the
-/// decoded snapshot per process.  [`KtaudMirror::encoded`] re-encodes a
-/// reconstruction for byte-comparison against the server — the lossless
-/// invariant the test suite and `ktaud_scale --check` enforce.
+/// Client-side reconstruction state: applies [`PollItem`]s to one
+/// [`EncodedProfile`] per process.  Full syncs are parsed, deltas spliced
+/// onto the stored bytes with their check digest verified, so
+/// [`KtaudMirror::encoded`] is byte-identical to the server's full encoding
+/// — the lossless invariant the test suite and `ktaud_scale --check`
+/// enforce.  [`KtaudMirror::get`] decodes on demand.
 #[derive(Default)]
 pub struct KtaudMirror {
-    snaps: BTreeMap<(u32, u32), ProfileSnapshot>,
+    profiles: BTreeMap<(u32, u32), EncodedProfile>,
 }
 
 impl KtaudMirror {
@@ -598,20 +580,18 @@ impl KtaudMirror {
         let decode_err = |e: ktau_core::snapshot::CodecError| KtauError::Decode(e.to_string());
         match item {
             PollItem::FullSync { node, pid, bytes } => {
-                let snap = decode_profile(bytes).map_err(decode_err)?;
-                self.snaps.insert((*node, *pid), snap);
+                let profile = EncodedProfile::parse(bytes.clone()).map_err(decode_err)?;
+                self.profiles.insert((*node, *pid), profile);
             }
             PollItem::Delta { node, pid, bytes } => {
-                let d = decode_delta(bytes).map_err(decode_err)?;
                 let base = self
-                    .snaps
-                    .get(&(*node, *pid))
+                    .profiles
+                    .get_mut(&(*node, *pid))
                     .ok_or_else(|| KtauError::Decode("delta without a baseline".into()))?;
-                let full = apply_delta(base, &d).map_err(decode_err)?;
-                self.snaps.insert((*node, *pid), full);
+                *base = base.apply(bytes).map_err(decode_err)?;
             }
             PollItem::Removed { node, pid } => {
-                self.snaps.remove(&(*node, *pid));
+                self.profiles.remove(&(*node, *pid));
             }
         }
         Ok(())
@@ -625,29 +605,30 @@ impl KtaudMirror {
         Ok(())
     }
 
-    /// The reconstructed snapshot for one process.
-    pub fn get(&self, node: u32, pid: u32) -> Option<&ProfileSnapshot> {
-        self.snaps.get(&(node, pid))
+    /// The reconstructed snapshot for one process, decoded.
+    pub fn get(&self, node: u32, pid: u32) -> Option<ProfileSnapshot> {
+        self.profiles.get(&(node, pid)).map(EncodedProfile::decode)
     }
 
-    /// Re-encodes the reconstruction for one process (byte-identity checks).
+    /// A copy of the reconstructed encoding for one process (byte-identity
+    /// checks).
     pub fn encoded(&self, node: u32, pid: u32) -> Option<Vec<u8>> {
-        self.snaps.get(&(node, pid)).map(encode_profile)
+        self.profiles.get(&(node, pid)).map(|p| p.bytes().to_vec())
     }
 
-    /// Iterates reconstructed `((node, pid), snapshot)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = ((u32, u32), &ProfileSnapshot)> {
-        self.snaps.iter().map(|(k, v)| (*k, v))
+    /// Iterates reconstructed `((node, pid), profile)` entries.
+    pub fn iter(&self) -> impl Iterator<Item = ((u32, u32), &EncodedProfile)> {
+        self.profiles.iter().map(|(k, v)| (*k, v))
     }
 
     /// Number of processes mirrored.
     pub fn len(&self) -> usize {
-        self.snaps.len()
+        self.profiles.len()
     }
 
     /// Whether the mirror is empty.
     pub fn is_empty(&self) -> bool {
-        self.snaps.is_empty()
+        self.profiles.is_empty()
     }
 }
 

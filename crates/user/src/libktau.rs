@@ -6,7 +6,7 @@
 //! protocol against `/proc/ktau/profile`, retrying when the data grows
 //! between the calls, exactly as a real client must.
 
-use ktau_core::snapshot::{decode_profile, ProfileSnapshot, TraceSnapshot};
+use ktau_core::snapshot::{decode_profile, EncodedProfile, ProfileSnapshot, TraceSnapshot};
 use ktau_core::Group;
 use ktau_oskern::{Cluster, Pid, ProcError, TaskKind};
 
@@ -61,21 +61,43 @@ pub fn ktau_get_profile(
 }
 
 /// [`ktau_get_profile`] returning the raw `/proc/ktau/profile` bytes along
-/// with the decode — they are exactly `encode_profile(&snap)`, so a caller
-/// that stores or hashes the encoding (the KTAUD sweep) reuses them instead
-/// of re-encoding.
-///
-/// `size_hint` is the caller's guess at the profile's encoded size, e.g.
-/// the size of the previous read of the same pid; `0` asks the size query
-/// first.  A sufficient hint saves the size pass (and its capture+encode) —
-/// how a periodic daemon really amortizes the two-phase protocol.  A stale
-/// hint just costs one `BufferTooSmall` retry.
+/// with their decode.
 pub fn ktau_get_profile_bytes(
     cluster: &Cluster,
     node: u32,
     pid: Pid,
     size_hint: usize,
 ) -> Result<(Vec<u8>, ProfileSnapshot), KtauError> {
+    let bytes = read_profile_raw(cluster, node, pid, size_hint)?;
+    let snap = decode_profile(&bytes).map_err(decode_err)?;
+    Ok((bytes, snap))
+}
+
+/// Reads one process profile as an [`EncodedProfile`]: the raw bytes,
+/// checked and indexed by row but not decoded — what the KTAUD service
+/// stores, diffs and ships.
+pub fn ktau_read_profile(
+    cluster: &Cluster,
+    node: u32,
+    pid: Pid,
+    size_hint: usize,
+) -> Result<EncodedProfile, KtauError> {
+    EncodedProfile::parse(read_profile_raw(cluster, node, pid, size_hint)?).map_err(decode_err)
+}
+
+/// The raw two-phase read: `/proc/ktau/profile` bytes, undecoded.
+///
+/// `size_hint` is the caller's guess at the profile's encoded size, e.g.
+/// the size of the previous read of the same pid; `0` asks the size query
+/// first.  A sufficient hint saves the size pass (and its encode) — how a
+/// periodic daemon really amortizes the two-phase protocol.  A stale hint
+/// just costs one `BufferTooSmall` retry.
+fn read_profile_raw(
+    cluster: &Cluster,
+    node: u32,
+    pid: Pid,
+    size_hint: usize,
+) -> Result<Vec<u8>, KtauError> {
     let now = cluster.now();
     let n = cluster.node(node);
     let mut size = if size_hint > 0 {
@@ -85,15 +107,16 @@ pub fn ktau_get_profile_bytes(
     };
     for _ in 0..8 {
         match n.proc_profile_read(pid, size, now) {
-            Ok(bytes) => {
-                let snap = decode_profile(&bytes).map_err(|e| KtauError::Decode(e.to_string()))?;
-                return Ok((bytes, snap));
-            }
+            Ok(bytes) => return Ok(bytes),
             Err(ProcError::BufferTooSmall { needed }) => size = needed,
             Err(e) => return Err(e.into()),
         }
     }
     Err(KtauError::TooManyRetries)
+}
+
+fn decode_err(e: ktau_core::snapshot::CodecError) -> KtauError {
+    KtauError::Decode(e.to_string())
 }
 
 /// Reads profiles for a set of processes per the access mode.
