@@ -12,10 +12,10 @@
 //!
 //! Flags:
 //! - `--jobs N` / `KTAU_JOBS`: worker threads for the variant fan-out.
-//! - `--check`: verify fork determinism (dynticks forks, a
-//!   reference-engine fork, and a 2-shard fork must all match the cold
-//!   digests) and exit non-zero on any mismatch, **without touching
-//!   `BENCH_engine.json`**.  This is the CI gate.
+//! - `--check`: verify fork determinism (dynticks forks and a
+//!   reference-engine fork must all match the cold digests) and exit
+//!   non-zero on any mismatch, **without touching `BENCH_engine.json`**.
+//!   This is the CI gate.
 use ktau_bench::{
     jobs, run_cold, run_fork, run_parallel, run_prefix, sweep_hash, variants, ForkEngine,
     ForkOutcome, SweepCheckpoint, T_FORK_NS,
@@ -26,8 +26,6 @@ use std::time::Instant;
 
 /// Variant spot-checked on the reference (all-heap) engine.
 const REFERENCE_VARIANT: &str = "faults_moderate";
-/// Variant spot-checked on the 2-shard conservative-PDES runner.
-const SHARDED_VARIANT: &str = "faults_severe";
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -82,7 +80,7 @@ fn main() {
         vs.iter()
             .map(|v| {
                 let (snap, m) = (snap.clone(), v.mutation.clone());
-                move || run_fork(&snap, &m, 1)
+                move || run_fork(&snap, &m)
             })
             .collect(),
     );
@@ -114,47 +112,27 @@ fn main() {
         }
     }
 
-    // Engine-coverage spot checks: the cold digests are engine-invariant,
-    // so a reference-engine fork and a sharded fork must land on the same
-    // digests as the dynticks cold twins above.
+    // Engine-coverage spot check: the cold digests are engine-invariant,
+    // so a reference-engine fork must land on the same digest as its
+    // dynticks cold twin above.
     let (ref_v, ref_cold) = vs
         .iter()
         .zip(&colds)
         .find(|(v, _)| v.name == REFERENCE_VARIANT)
         .expect("reference spot-check variant present");
     let (ref_prefix, _) = run_prefix(ForkEngine::Reference);
-    let ref_fork = run_fork(&ref_prefix.snapshot(), &ref_v.mutation, 1);
+    let ref_fork = run_fork(&ref_prefix.snapshot(), &ref_v.mutation);
     drop(ref_prefix);
-    if ref_fork.digest != ref_cold.digest {
+    let ref_ok = ref_fork.digest == ref_cold.digest;
+    if !ref_ok {
         mismatches.push(format!(
             "reference-engine fork of {}: digest {} vs cold {}",
             ref_v.name, ref_fork.digest, ref_cold.digest
         ));
     }
-    let (sh_v, sh_cold) = vs
-        .iter()
-        .zip(&colds)
-        .find(|(v, _)| v.name == SHARDED_VARIANT)
-        .expect("sharded spot-check variant present");
-    let sh_fork = run_fork(&snap, &sh_v.mutation, 2);
-    if sh_fork.digest != sh_cold.digest {
-        mismatches.push(format!(
-            "2-shard fork of {}: digest {} vs cold {}",
-            sh_v.name, sh_fork.digest, sh_cold.digest
-        ));
-    }
     println!(
-        "engine spot checks: reference fork {}, 2-shard fork {}",
-        if ref_fork.digest == ref_cold.digest {
-            "match"
-        } else {
-            "MISMATCH"
-        },
-        if sh_fork.digest == sh_cold.digest {
-            "match"
-        } else {
-            "MISMATCH"
-        }
+        "engine spot check: reference fork {}",
+        if ref_ok { "match" } else { "MISMATCH" }
     );
 
     let speedup = cold_serial_s / warm_serial_s;
@@ -178,7 +156,7 @@ fn main() {
     }
     if check {
         println!(
-            "[fork_sweep] check passed: {} forks + 2 engine spot checks digest-identical to cold runs",
+            "[fork_sweep] check passed: {} forks + 1 engine spot check digest-identical to cold runs",
             vs.len()
         );
         return; // --check never writes BENCH_engine.json

@@ -113,7 +113,7 @@ fn routines_of(class: usize) -> Vec<usize> {
 }
 
 /// Burst-then-steady rank body (see module docs).  Clone-safe so tasks can
-/// be checkpointed by the sharded engine.  A `quiescent` rank goes fully
+/// be captured in cluster snapshots.  A `quiescent` rank goes fully
 /// idle after its burst instead of entering the steady loop, exercising the
 /// generation-skip path at scale.
 fn rank_program(class: usize, quiescent: bool) -> FnProgram<impl FnMut() -> Op + Send + Clone> {

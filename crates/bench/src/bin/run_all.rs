@@ -1,24 +1,22 @@
 //! Runs every experiment once, populating the results cache that the
 //! per-figure binaries read.  Independent cluster runs fan out over worker
-//! threads (`--jobs N` / `KTAU_JOBS`, default: available cores); each run
-//! can additionally be split across conservative-PDES shard threads
-//! (`--shards N` / `KTAU_SHARDS`, default: 1).  Results are printed and
-//! cached in a fixed order, byte-identical to a serial run — sharding never
-//! changes simulation output, only how the wall clock is spent.
-use ktau_bench::{jobs, prefetch, shards, Config, Experiment};
+//! threads (`--jobs N` / `KTAU_JOBS`, default: available cores).  Results
+//! are printed and cached in a fixed order, byte-identical to a serial run —
+//! the worker count never changes simulation output, only how the wall
+//! clock is spent.
+use ktau_bench::{jobs, prefetch, Config, Experiment};
 use serde_json::Value;
 use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
     let j = jobs();
-    let s = shards();
     let cold = std::env::var_os("KTAU_RERUN").is_some();
     let mut exps: Vec<Experiment> = Config::TABLE2.iter().map(|&c| Experiment::Lu(c)).collect();
     exps.extend(Config::TABLE2.iter().map(|&c| Experiment::Sweep(c)));
     exps.push(Experiment::Sweep(Config::C128x1PinIrqCpu1));
     eprintln!(
-        "[run_all] {} experiments across {j} worker thread(s), {s} shard(s) per run",
+        "[run_all] {} experiments across {j} worker thread(s)",
         exps.len()
     );
     let recs = prefetch(&exps, j);
@@ -33,11 +31,11 @@ fn main() {
     }
     let wall = t0.elapsed().as_secs_f64();
     println!(
-        "[run_all] jobs={j} shards={s} wall={wall:.3}s experiments={} cold={cold}",
+        "[run_all] jobs={j} wall={wall:.3}s experiments={} cold={cold}",
         exps.len()
     );
     if cold {
-        record_timing(j, s, wall, exps.len(), cold);
+        record_timing(j, wall, exps.len(), cold);
     } else {
         // Warm runs mostly replay the results cache; their wall time says
         // nothing stable about the engine, and recording it would churn
@@ -50,10 +48,9 @@ fn main() {
 /// Merges this run's timing into the `run_all_jobs_timing` block of
 /// `BENCH_engine.json` (without disturbing the engine numbers `perf_smoke`
 /// wrote there) so engine and harness throughput live in one benchmark
-/// artifact.  Rows are keyed by `(jobs, shards, cold)`, so a `--jobs
-/// 1/2/4/8` sweep accumulates a scaling baseline instead of overwriting
-/// itself.
-fn record_timing(jobs: usize, shards: usize, wall_s: f64, experiments: usize, cold: bool) {
+/// artifact.  Rows are keyed by `(jobs, cold)`, so a `--jobs 1/2/4/8`
+/// sweep accumulates a scaling baseline instead of overwriting itself.
+fn record_timing(jobs: usize, wall_s: f64, experiments: usize, cold: bool) {
     let path = "BENCH_engine.json";
     let mut root = std::fs::read_to_string(path)
         .ok()
@@ -61,7 +58,6 @@ fn record_timing(jobs: usize, shards: usize, wall_s: f64, experiments: usize, co
         .unwrap_or(Value::Obj(Vec::new()));
     let row = Value::Obj(vec![
         ("jobs".to_owned(), Value::U64(jobs as u64)),
-        ("shards".to_owned(), Value::U64(shards as u64)),
         ("experiments".to_owned(), Value::U64(experiments as u64)),
         ("wall_s".to_owned(), Value::F64(wall_s)),
         ("cold".to_owned(), Value::Bool(cold)),
@@ -70,10 +66,7 @@ fn record_timing(jobs: usize, shards: usize, wall_s: f64, experiments: usize, co
             Value::U64(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
         ),
     ]);
-    let key = format!(
-        "jobs_{jobs}_shards_{shards}_{}",
-        if cold { "cold" } else { "warm" }
-    );
+    let key = format!("jobs_{jobs}_{}", if cold { "cold" } else { "warm" });
     if let Value::Obj(fields) = &mut root {
         // The timing block maps row keys to row objects; any older flat
         // layout is replaced wholesale.

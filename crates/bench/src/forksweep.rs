@@ -12,8 +12,8 @@
 //! Fork determinism is the load-bearing property: a forked variant must be
 //! digest-identical to a *cold twin* — an uninterrupted run from t=0 with
 //! the same mutation applied at the same virtual time.  `fork_sweep
-//! --check` enforces this for every variant (plus reference-engine and
-//! sharded spot checks); the equivalent property-based coverage lives in
+//! --check` enforces this for every variant (plus a reference-engine spot
+//! check); the equivalent property-based coverage lives in
 //! `crates/oskern/tests/dynticks_equiv.rs`.
 
 use crate::scenarios::input_hash;
@@ -48,7 +48,7 @@ fn params() -> LuParams {
     LuParams::class_c_16()
 }
 
-/// Engine generation a sweep path runs under.
+/// Engine a sweep path runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForkEngine {
     /// Dynticks (the default engine).
@@ -235,13 +235,9 @@ pub fn run_prefix(engine: ForkEngine) -> (Cluster, f64) {
 }
 
 /// Forks one variant from a snapshot: resume, mutate, run to completion.
-/// `shards >= 2` continues the fork on the conservative-PDES runner.
-pub fn run_fork(snap: &ClusterSnapshot, m: &Mutation, shards: usize) -> ForkOutcome {
+pub fn run_fork(snap: &ClusterSnapshot, m: &Mutation) -> ForkOutcome {
     let t0 = Instant::now();
     let mut c = Cluster::resume(snap).expect("snapshot resume failed");
-    if shards >= 2 {
-        c.set_shards(shards);
-    }
     apply_mutation(&mut c, m);
     finish(c, t0)
 }

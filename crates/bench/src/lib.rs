@@ -31,7 +31,7 @@ pub use forksweep::{
     apply_mutation, run_cold, run_fork, run_prefix, sweep_hash, variants, ForkEngine, ForkOutcome,
     Mutation, Variant, T_FORK_NS,
 };
-pub use parallel::{jobs, prefetch, run_parallel, shards, Experiment};
+pub use parallel::{jobs, prefetch, run_parallel, Experiment};
 pub use records::{NodeProcRecord, RankRecord, RunRecord};
 pub use scenarios::{lu_record, run_lu, run_sweep, sweep_record, Config, ANOMALY_NODE};
 pub use sweeprun::SweepCheckpoint;

@@ -43,38 +43,6 @@ fn clamp_jobs(n: usize) -> usize {
     n.max(1)
 }
 
-/// Resolves the intra-run shard count for the conservative-PDES engine:
-/// `--shards N` / `--shards=N` on the command line, else the `KTAU_SHARDS`
-/// environment variable, else 1 (serial).
-///
-/// Unlike [`jobs`] this does not default to the core count: sharding *one*
-/// run only pays off on cores `--jobs` leaves idle, and the two knobs
-/// multiply (`jobs x shards` worker threads at peak).  Sharded runs are
-/// bit-identical to serial ones, so the results cache is shared freely
-/// between the two modes.
-pub fn shards() -> usize {
-    shards_from(std::env::args().skip(1))
-}
-
-fn shards_from(args: impl Iterator<Item = String>) -> usize {
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if a == "--shards" {
-            if let Some(n) = args.peek().and_then(|v| v.parse().ok()) {
-                return clamp_jobs(n);
-            }
-        } else if let Some(v) = a.strip_prefix("--shards=") {
-            if let Ok(n) = v.parse() {
-                return clamp_jobs(n);
-            }
-        }
-    }
-    std::env::var("KTAU_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map_or(1, clamp_jobs)
-}
-
 /// Runs `tasks` across at most `jobs` worker threads and returns their
 /// results **in input order** (thread scheduling never affects output).
 /// With `jobs <= 1` the tasks run serially on the calling thread.
@@ -211,19 +179,6 @@ mod tests {
         assert_eq!(parse(&["--jobs", "0"]), 1);
         // Unparsable / absent flags fall through to env/core detection.
         assert!(parse(&["--frobnicate"]) >= 1);
-    }
-
-    #[test]
-    fn shards_flag_parsing() {
-        let parse = |v: &[&str]| shards_from(v.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&["--shards", "4"]), 4);
-        assert_eq!(parse(&["--shards=2"]), 2);
-        assert_eq!(parse(&["--shards", "0"]), 1);
-        // `--jobs` does not leak into the shard count (falls through to the
-        // serial default when KTAU_SHARDS is unset).
-        if std::env::var_os("KTAU_SHARDS").is_none() {
-            assert_eq!(parse(&["--jobs", "8"]), 1);
-        }
     }
 
     #[test]

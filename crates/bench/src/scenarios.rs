@@ -93,15 +93,9 @@ impl Config {
 const DEADLINE: Ns = 3_600 * NS_PER_SEC;
 
 /// Runs NPB LU under a configuration and harvests the record.
-///
-/// Honors `--shards N` / `KTAU_SHARDS`: the cluster is split across that
-/// many conservative-PDES worker threads.  Sharded runs are bit-identical
-/// to serial ones, so the shard count is an execution knob, not a cache
-/// input — records computed at any shard count are interchangeable.
 pub fn run_lu(cfg: Config, params: LuParams) -> RunRecord {
     let (spec, layout) = cfg.cluster_and_layout();
     let mut cluster = Cluster::new(spec);
-    cluster.set_shards(crate::parallel::shards());
     let job = launch(&mut cluster, "lu.C.128", &layout, params.apps());
     let end = cluster.run_until_apps_exit(DEADLINE);
     extract_run(
@@ -115,12 +109,10 @@ pub fn run_lu(cfg: Config, params: LuParams) -> RunRecord {
     )
 }
 
-/// Runs Sweep3D under a configuration and harvests the record.  Honors
-/// `--shards N` / `KTAU_SHARDS` exactly like [`run_lu`].
+/// Runs Sweep3D under a configuration and harvests the record.
 pub fn run_sweep(cfg: Config, params: SweepParams) -> RunRecord {
     let (spec, layout) = cfg.cluster_and_layout();
     let mut cluster = Cluster::new(spec);
-    cluster.set_shards(crate::parallel::shards());
     let job = launch(&mut cluster, "sweep3d", &layout, params.apps());
     let end = cluster.run_until_apps_exit(DEADLINE);
     extract_run(

@@ -37,12 +37,12 @@ fn same_seed_runs_are_bit_identical() {
 }
 
 #[test]
-fn fast_engine_matches_reference_engine() {
-    let fast = small_lu_run();
+fn dynticks_engine_matches_reference_engine() {
+    let dynticks = small_lu_run();
     let reference = run_on(Cluster::new_reference_engine(ClusterSpec::chiba(4)));
     assert_eq!(
-        fast, reference,
-        "tick-lane engine diverged from the all-heap reference engine"
+        dynticks, reference,
+        "dynticks engine diverged from the all-heap reference engine"
     );
 }
 

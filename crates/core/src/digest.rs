@@ -1,12 +1,12 @@
 //! FNV-1a state digests.
 //!
-//! Every engine generation — reference, fast, dynticks, sharded — must leave
-//! the cluster in bit-identical externally-observable state for the same
+//! The dynticks engine and the all-heap reference engine must leave the
+//! cluster in bit-identical externally-observable state for the same
 //! workload.  That property is enforced by folding all of it into one 64-bit
 //! FNV-1a hash: virtual time, per-task scheduler state, counters, and the
 //! full measurement structures.  The fold lives in `ktau-core` so the kernel
-//! model, the sharded runner's per-shard digests, and any external
-//! consistency checker all hash the same way.
+//! model, the KTAD check digests and any external consistency checker all
+//! hash the same way.
 
 /// The FNV-1a 64-bit offset basis; start every digest from this.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -36,16 +36,16 @@ pub fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Combines independently computed sub-digests in index order (e.g. one per
-/// shard) into one digest.  Order-sensitive by design: callers pass the
-/// sub-digests in a canonical order (node id, shard id) so the combined
-/// value is engine-independent.
-pub fn fnv_combine(parts: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for p in parts {
-        fnv_word(&mut h, p);
+/// A [`std::fmt::Write`] sink that folds everything written into a running
+/// FNV-1a hash: `write!(FnvWriter(&mut h), ..)` digests formatted text
+/// exactly as hashing the formatted `String` would, without building it.
+pub struct FnvWriter<'a>(pub &'a mut u64);
+
+impl std::fmt::Write for FnvWriter<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        fnv_bytes(self.0, s.as_bytes());
+        Ok(())
     }
-    h
 }
 
 #[cfg(test)]
@@ -62,15 +62,22 @@ mod tests {
     }
 
     #[test]
-    fn known_vector() {
-        // FNV-1a of the empty input is the offset basis itself.
-        assert_eq!(fnv_combine([]), FNV_OFFSET);
-        // And folding changes it for any word.
-        assert_ne!(fnv_combine([0]), FNV_OFFSET);
+    fn writer_matches_hashing_the_formatted_string() {
+        use std::fmt::Write;
+        let comm = "comm";
+        let text = format!("{comm}|{:?}", [1u64, 2]);
+        let mut a = FNV_OFFSET;
+        fnv_bytes(&mut a, text.as_bytes());
+        let mut b = FNV_OFFSET;
+        write!(FnvWriter(&mut b), "{comm}|{:?}", [1u64, 2]).unwrap();
+        assert_eq!(a, b);
     }
 
     #[test]
-    fn combine_is_order_sensitive() {
-        assert_ne!(fnv_combine([1, 2]), fnv_combine([2, 1]));
+    fn known_vector() {
+        // Published FNV-1a 64-bit test vector: "a".
+        let mut h = FNV_OFFSET;
+        fnv_bytes(&mut h, b"a");
+        assert_eq!(h, 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -37,8 +37,8 @@ pub type MergedKey = (Option<EventId>, EventId);
 /// instead of the previous `Vec<Vec<MergedStats>>` whose every row was
 /// dense up to the largest kernel event id it saw.  The dense layout stays
 /// the *observable* shape: each row head records the length its old dense
-/// row would have, and `Debug`/the v1 codec synthesize the zero cells, so
-/// engine state digests and v1 KTAS images are unchanged.
+/// row would have, and `Debug` synthesizes the zero cells, so engine state
+/// digests are unchanged.
 #[derive(Clone, Default)]
 pub struct MergedTable {
     rows: Vec<MergedRowHead>,
@@ -245,65 +245,8 @@ impl MergedTable {
         self.cache = [(0, 0, 0); MERGED_CACHE_WAYS];
     }
 
-    /// Serializes the table in the *dense* v1 KTAS layout — old row lengths
-    /// synthesized exactly, zero cells included — so a v1 image decodes
-    /// `Debug`-identical, hence digest-identical.
-    pub fn encode_wire_dense(&self, w: &mut Writer) {
-        w.u32(self.rows.len() as u32);
-        for row in &self.rows {
-            w.u32(row.dense_len);
-            for s in self.dense_row(row) {
-                w.u64(s.count);
-                w.u64(s.ns);
-            }
-        }
-    }
-
-    /// Inverse of [`MergedTable::encode_wire_dense`] (v1 KTAS images).
-    /// Only non-default cells allocate arena space.
-    pub fn decode_wire_dense(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.counted(4, "merged row count")?;
-        let mut rows = Vec::with_capacity(n);
-        let mut cells: Vec<MergedCell> = Vec::new();
-        for _ in 0..n {
-            let m = r.counted(16, "merged row length")?;
-            let mut head = 0u32;
-            let mut tail = 0u32;
-            for c in 0..m {
-                let stats = MergedStats {
-                    count: r.u64()?,
-                    ns: r.u64()?,
-                };
-                if stats == MergedStats::default() {
-                    continue;
-                }
-                cells.push(MergedCell {
-                    col: c as u32,
-                    next: 0,
-                    stats,
-                });
-                let idx = cells.len() as u32;
-                if tail == 0 {
-                    head = idx;
-                } else {
-                    cells[tail as usize - 1].next = idx;
-                }
-                tail = idx;
-            }
-            rows.push(MergedRowHead {
-                dense_len: m as u32,
-                head,
-            });
-        }
-        Ok(MergedTable {
-            rows,
-            cells,
-            cache: [(0, 0, 0); MERGED_CACHE_WAYS],
-        })
-    }
-
-    /// Serializes the table in the compact v2 KTAS layout: per row, the
-    /// dense watermark plus only the recorded cells in column order.
+    /// Serializes the table for the KTAS engine image: per row, the dense
+    /// watermark plus only the recorded cells in column order.
     pub fn encode_wire(&self, w: &mut Writer) {
         w.u32(self.rows.len() as u32);
         for row in &self.rows {
@@ -326,7 +269,7 @@ impl MergedTable {
         }
     }
 
-    /// Inverse of [`MergedTable::encode_wire`] (v2 KTAS images).  Columns
+    /// Inverse of [`MergedTable::encode_wire`].  Columns
     /// must be strictly ascending and inside the row's dense watermark;
     /// anything else is a corrupt image and fails loudly.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -404,8 +347,8 @@ impl std::fmt::Debug for MergedTable {
 /// as [`MergedTable`]).  Only slots ever recorded are stored — an entry's
 /// *presence* distinguishes "never recorded" from an accumulated zero, the
 /// distinction the old `Vec<Option<Ns>>` layout carried with a `None` per
-/// untouched slot.  The dense shape survives as a watermark for `Debug` and
-/// v1-codec synthesis.
+/// untouched slot.  The dense shape survives as a watermark for `Debug`
+/// synthesis.
 #[derive(Clone, Default)]
 pub struct WallTable {
     /// Length the old dense `Vec<Option<Ns>>` would have.
@@ -485,46 +428,8 @@ impl WallTable {
         self.ns.clear();
     }
 
-    /// Serializes in the *dense* v1 KTAS layout — every slot up to the
-    /// watermark, `None` vs accumulated-zero preserved.
-    pub fn encode_wire_dense(&self, w: &mut Writer) {
-        w.u32(self.dense_len);
-        for s in 0..self.dense_len {
-            match self.slot_value(s) {
-                None => w.u8(0),
-                Some(ns) => {
-                    w.u8(1);
-                    w.u64(ns);
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`WallTable::encode_wire_dense`] (v1 KTAS images).
-    pub fn decode_wire_dense(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.counted(1, "wall slot count")?;
-        let mut slots = Vec::new();
-        let mut ns = Vec::new();
-        for s in 0..n {
-            match r.u8()? {
-                0 => {}
-                1 => {
-                    slots.push(s as u32);
-                    ns.push(r.u64()?);
-                }
-                _ => return Err(CodecError::BadField("wall slot tag")),
-            }
-        }
-        Ok(WallTable {
-            dense_len: n as u32,
-            slots,
-            ns,
-            last_idx: 0,
-        })
-    }
-
-    /// Serializes in the compact v2 KTAS layout: the dense watermark plus
-    /// only the recorded slots in ascending order.
+    /// Serializes for the KTAS engine image: the dense watermark plus only
+    /// the recorded slots in ascending order.
     pub fn encode_wire(&self, w: &mut Writer) {
         w.u32(self.dense_len);
         w.u32(self.slots.len() as u32);
@@ -534,7 +439,7 @@ impl WallTable {
         }
     }
 
-    /// Inverse of [`WallTable::encode_wire`] (v2 KTAS images).  Slots must
+    /// Inverse of [`WallTable::encode_wire`].  Slots must
     /// be strictly ascending and inside the dense watermark.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let dense_len = r.u32()?;
@@ -704,17 +609,10 @@ impl TaskMeasurement {
 
     /// Serializes complete measurement state — both profiles, the trace
     /// buffer, merged/wall tables, and the dirty generation — for the
-    /// engine snapshot image.  `compact` selects the v2 arena section
-    /// layout; `false` emits the dense v1 layout for backward-compatible
-    /// images.
-    pub fn encode_wire(&self, w: &mut Writer, compact: bool) {
-        if compact {
-            self.kernel.encode_wire(w);
-            self.user.encode_wire(w);
-        } else {
-            self.kernel.encode_wire_dense(w);
-            self.user.encode_wire_dense(w);
-        }
+    /// engine snapshot image.
+    pub fn encode_wire(&self, w: &mut Writer) {
+        self.kernel.encode_wire(w);
+        self.user.encode_wire(w);
         match &self.trace {
             None => w.u8(0),
             Some(t) => {
@@ -722,41 +620,22 @@ impl TaskMeasurement {
                 t.encode_wire(w);
             }
         }
-        if compact {
-            self.merged.encode_wire(w);
-            self.wall.encode_wire(w);
-        } else {
-            self.merged.encode_wire_dense(w);
-            self.wall.encode_wire_dense(w);
-        }
+        self.merged.encode_wire(w);
+        self.wall.encode_wire(w);
         w.u64(self.gen);
     }
 
-    /// Inverse of [`TaskMeasurement::encode_wire`]; `compact` must match
-    /// the image version the section came from (KTAS v1 = dense, v2+ =
-    /// compact).
-    pub fn decode_wire(r: &mut Reader<'_>, compact: bool) -> Result<Self, CodecError> {
-        let (kernel, user) = if compact {
-            (Profile::decode_wire(r)?, Profile::decode_wire(r)?)
-        } else {
-            (
-                Profile::decode_wire_dense(r)?,
-                Profile::decode_wire_dense(r)?,
-            )
-        };
+    /// Inverse of [`TaskMeasurement::encode_wire`].
+    pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let kernel = Profile::decode_wire(r)?;
+        let user = Profile::decode_wire(r)?;
         let trace = match r.u8()? {
             0 => None,
             1 => Some(TraceBuffer::decode_wire(r)?),
             _ => return Err(CodecError::BadField("trace tag")),
         };
-        let (merged, wall) = if compact {
-            (MergedTable::decode_wire(r)?, WallTable::decode_wire(r)?)
-        } else {
-            (
-                MergedTable::decode_wire_dense(r)?,
-                WallTable::decode_wire_dense(r)?,
-            )
-        };
+        let merged = MergedTable::decode_wire(r)?;
+        let wall = WallTable::decode_wire(r)?;
         let gen = r.u64()?;
         Ok(TaskMeasurement {
             kernel,
@@ -1297,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn measurement_wire_roundtrips_preserve_debug_both_versions() {
+    fn measurement_wire_roundtrip_preserves_debug() {
         let eng = ProbeEngine::prof_all();
         let mut m = TaskMeasurement::profiling();
         // Touch columns out of order so chains must sort, leave a kernel
@@ -1312,16 +1191,14 @@ mod tests {
         eng.kernel_entry(&mut m, ev(5), Group::Irq, 110); // stays live
         let before = format!("{m:?}");
 
-        for compact in [false, true] {
-            let mut w = Writer::new();
-            m.encode_wire(&mut w, compact);
-            let bytes = w.into_vec();
-            let mut r = Reader::new(&bytes);
-            let d = TaskMeasurement::decode_wire(&mut r, compact).unwrap();
-            r.expect_end().unwrap();
-            assert_eq!(format!("{d:?}"), before, "compact={compact}");
-            assert_eq!(d.generation(), m.generation());
-        }
+        let mut w = Writer::new();
+        m.encode_wire(&mut w);
+        let bytes = w.into_vec();
+        let mut r = Reader::new(&bytes);
+        let d = TaskMeasurement::decode_wire(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(format!("{d:?}"), before);
+        assert_eq!(d.generation(), m.generation());
     }
 
     #[test]
@@ -1344,25 +1221,37 @@ mod tests {
 
     #[test]
     fn hostile_merged_and_wall_counts_fail_loudly() {
-        // Dense merged image claiming u32::MAX rows in a tiny input.
+        // Merged image claiming u32::MAX rows in a tiny input.
         let mut w = Writer::new();
         w.u32(u32::MAX);
         w.u32(0);
         let bytes = w.into_vec();
         assert!(matches!(
-            MergedTable::decode_wire_dense(&mut Reader::new(&bytes)),
+            MergedTable::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("merged row count"))
         ));
-        // Dense merged image with one row claiming an absurd column count.
+        // Merged image with one row claiming an absurd dense length.
         let mut w = Writer::new();
         w.u32(1);
         w.u32(1 << 30);
+        w.u32(0);
         let bytes = w.into_vec();
         assert!(matches!(
-            MergedTable::decode_wire_dense(&mut Reader::new(&bytes)),
+            MergedTable::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("merged row length"))
         ));
-        // Compact merged image with a cell column outside its dense row.
+        // Merged image with one row claiming more cells than bytes remain.
+        let mut w = Writer::new();
+        w.u32(1);
+        w.u32(4);
+        w.u32(1 << 20);
+        w.u64(0);
+        let bytes = w.into_vec();
+        assert!(matches!(
+            MergedTable::decode_wire(&mut Reader::new(&bytes)),
+            Err(CodecError::Corrupt("merged cell count"))
+        ));
+        // Merged image with a cell column outside its dense row.
         let mut w = Writer::new();
         w.u32(1); // one row
         w.u32(2); // dense_len 2
@@ -1375,16 +1264,17 @@ mod tests {
             MergedTable::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("merged cell column"))
         ));
-        // Dense wall image claiming more slots than bytes remain.
+        // Wall image claiming more slots than bytes remain.
         let mut w = Writer::new();
+        w.u32(4);
         w.u32(1 << 20);
         w.u8(0);
         let bytes = w.into_vec();
         assert!(matches!(
-            WallTable::decode_wire_dense(&mut Reader::new(&bytes)),
+            WallTable::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("wall slot count"))
         ));
-        // Compact wall image with out-of-order slots.
+        // Wall image with out-of-order slots.
         let mut w = Writer::new();
         w.u32(4); // dense_len
         w.u32(2); // two entries

@@ -228,9 +228,8 @@ impl std::error::Error for ProfileError {}
 /// instead of the previous O(max id × 44 bytes) dense vectors.  The dense
 /// layout remains the *observable* shape: `entries_len`/`active_len`/
 /// `atomics_len` record the lengths the old vectors would have, and the
-/// manual [`std::fmt::Debug`] impl plus the v1 wire codec synthesize
-/// default cells for unallocated ids, so engine state digests and v1 KTAS
-/// images are byte-identical to the dense era.
+/// manual [`std::fmt::Debug`] impl synthesizes default cells for
+/// unallocated ids, so engine state digests are identical to the dense era.
 #[derive(Clone, Default)]
 pub struct Profile {
     /// Event index → entry-slot index + 1 (`0` = never fired).
@@ -247,7 +246,7 @@ pub struct Profile {
     atomic_slots: Vec<AtomicStats>,
     stack: Vec<Activation>,
     /// Dense length the old layout's `entries` vector would have (largest
-    /// event id touched + 1) — the `Debug`/v1-codec synthesis bound.
+    /// event id touched + 1) — the `Debug` synthesis bound.
     entries_len: u32,
     /// Dense length of the old `active` vector.  Tracks `entries_len`
     /// except across [`Profile::absorb`], which only extended `entries`.
@@ -257,7 +256,7 @@ pub struct Profile {
 }
 
 /// Dense watermarks beyond this are structurally impossible for real
-/// profiles (event ids are handed out densely by the registry) — compact
+/// profiles (event ids are handed out densely by the registry) — the
 /// decoders reject larger values before synthesizing anything from them.
 pub(crate) const MAX_DENSE_LEN: u32 = 1 << 20;
 
@@ -600,8 +599,13 @@ impl Profile {
         let n = r.counted(29, "activation stack depth")?;
         let mut stack = Vec::with_capacity(n);
         for _ in 0..n {
+            let event = r.u32()?;
+            // Rebinding allocates an index entry up to the event id.
+            if event >= MAX_DENSE_LEN {
+                return Err(CodecError::Corrupt("activation event id"));
+            }
             stack.push(Activation {
-                event: EventId(r.u32()?),
+                event: EventId(event),
                 slot: 0,
                 entry_ns: r.u64()?,
                 child_ns: r.u64()?,
@@ -630,99 +634,8 @@ impl Profile {
     }
 
     /// Serializes complete profile state — statistics, the live activation
-    /// stack, and recursion counters — in the *dense* v1 KTAS layout: the
-    /// old vector lengths are synthesized exactly (including zero-valued
-    /// rows) so a v1 image decodes `Debug`-identical, hence digest-identical.
-    pub fn encode_wire_dense(&self, w: &mut Writer) {
-        w.u32(self.entries_len);
-        for i in 0..self.entries_len as usize {
-            let e = self
-                .entry_pos(i)
-                .map(|s| self.entry_slots[s])
-                .unwrap_or_default();
-            w.u64(e.count);
-            w.u64(e.incl_ns);
-            w.u64(e.excl_ns);
-            w.u64(e.min_incl_ns);
-            w.u64(e.max_incl_ns);
-        }
-        w.u32(self.atomics_len);
-        for i in 0..self.atomics_len as usize {
-            let a = self.atomic_slot(i).copied().unwrap_or_default();
-            w.u64(a.count);
-            w.u64(a.sum);
-            w.u64(a.min);
-            w.u64(a.max);
-        }
-        self.encode_stack(w);
-        w.u32(self.active_len);
-        for i in 0..self.active_len as usize {
-            w.u32(self.entry_pos(i).map_or(0, |s| self.entry_active[s]));
-        }
-    }
-
-    /// Inverse of [`Profile::encode_wire_dense`] (v1 KTAS images).  Only
-    /// non-default rows allocate slots, so a dense image rehydrates into the
-    /// same compact state a live run would have built.
-    pub fn decode_wire_dense(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let mut entry_idx = Vec::new();
-        let mut entry_slots: Vec<EntryExitStats> = Vec::new();
-        let mut entry_active: Vec<u32> = Vec::new();
-        let entries_len = r.counted(40, "profile entry count")? as u32;
-        for i in 0..entries_len as usize {
-            let e = EntryExitStats {
-                count: r.u64()?,
-                incl_ns: r.u64()?,
-                excl_ns: r.u64()?,
-                min_incl_ns: r.u64()?,
-                max_incl_ns: r.u64()?,
-            };
-            if e != EntryExitStats::default() {
-                let s = alloc_entry(&mut entry_idx, &mut entry_slots, &mut entry_active, i);
-                entry_slots[s] = e;
-            }
-        }
-        let mut atomic_idx = Vec::new();
-        let mut atomic_slots: Vec<AtomicStats> = Vec::new();
-        let atomics_len = r.counted(32, "profile atomic count")? as u32;
-        for i in 0..atomics_len as usize {
-            let a = AtomicStats {
-                count: r.u64()?,
-                sum: r.u64()?,
-                min: r.u64()?,
-                max: r.u64()?,
-            };
-            if a != AtomicStats::default() {
-                let s = alloc_slot(&mut atomic_idx, &mut atomic_slots, i);
-                atomic_slots[s] = a;
-            }
-        }
-        let stack = Self::decode_stack(r)?;
-        let active_len = r.counted(4, "active counter count")? as u32;
-        for i in 0..active_len as usize {
-            let c = r.u32()?;
-            if c != 0 {
-                let s = alloc_entry(&mut entry_idx, &mut entry_slots, &mut entry_active, i);
-                entry_active[s] = c;
-            }
-        }
-        let mut p = Profile {
-            entry_idx,
-            entry_slots,
-            entry_active,
-            atomic_idx,
-            atomic_slots,
-            stack,
-            entries_len,
-            active_len,
-            atomics_len,
-        };
-        p.rebind_stack_slots();
-        Ok(p)
-    }
-
-    /// Serializes complete profile state in the compact v2 KTAS layout:
-    /// dense watermarks plus only the allocated slots, keyed by event id in
+    /// stack, and recursion counters — for the KTAS engine image: dense
+    /// watermarks plus only the allocated slots, keyed by event id in
     /// ascending order.
     pub fn encode_wire(&self, w: &mut Writer) {
         w.u32(self.entries_len);
@@ -759,7 +672,7 @@ impl Profile {
         self.encode_stack(w);
     }
 
-    /// Inverse of [`Profile::encode_wire`] (v2 KTAS images).  Slot ids must
+    /// Inverse of [`Profile::encode_wire`].  Slot ids must
     /// be strictly ascending and inside the dense watermarks; anything else
     /// is a corrupt image and fails loudly.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -1059,7 +972,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_compact_wire_roundtrips_preserve_debug() {
+    fn wire_roundtrip_preserves_debug() {
         let mut p = Profile::new();
         p.start(ev(3), 0);
         p.start(ev(3), 5); // recursive, stays live
@@ -1068,14 +981,6 @@ mod tests {
         p.atomic(ev(12), 1460);
         p.add_interval(ev(1), 250);
         let before = format!("{p:?}");
-
-        let mut w = crate::wire::Writer::new();
-        p.encode_wire_dense(&mut w);
-        let bytes = w.into_vec();
-        let mut r = Reader::new(&bytes);
-        let d = Profile::decode_wire_dense(&mut r).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(format!("{d:?}"), before);
 
         let mut w = crate::wire::Writer::new();
         p.encode_wire(&mut w);
@@ -1101,16 +1006,18 @@ mod tests {
 
     #[test]
     fn hostile_counts_fail_loudly() {
-        // A dense image claiming 2^31 entries in a 12-byte input.
+        // An image claiming 2^31 slots in a 20-byte input.
         let mut w = crate::wire::Writer::new();
+        w.u32(8);
+        w.u32(8);
         w.u32(1 << 31);
         w.u64(0);
         let bytes = w.into_vec();
         assert!(matches!(
-            Profile::decode_wire_dense(&mut Reader::new(&bytes)),
-            Err(CodecError::Corrupt("profile entry count"))
+            Profile::decode_wire(&mut Reader::new(&bytes)),
+            Err(CodecError::Corrupt("profile slot count"))
         ));
-        // A compact image with an absurd dense watermark.
+        // An image with an absurd dense watermark.
         let mut w = crate::wire::Writer::new();
         w.u32(u32::MAX);
         w.u32(0);
@@ -1120,7 +1027,7 @@ mod tests {
             Profile::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("profile dense length"))
         ));
-        // A compact image with out-of-order slot ids.
+        // An image with out-of-order slot ids.
         let mut p = Profile::new();
         p.start(ev(2), 0);
         p.stop(ev(2), 1).unwrap();
@@ -1139,20 +1046,26 @@ mod tests {
 
     #[test]
     fn decode_needs_derived_debug_parity_for_zero_count_rows() {
-        // A hand-built dense image with a zero-count row carrying nonzero
+        // A hand-built image with a zero-count slot carrying nonzero
         // fields must survive the rehydration Debug-identically.
         let mut w = crate::wire::Writer::new();
-        w.u32(1); // one entry row
+        w.u32(1); // entries watermark
+        w.u32(1); // active watermark
+        w.u32(1); // one slot
+        w.u32(0); // event id 0
         w.u64(0); // count 0
         w.u64(77); // but nonzero incl
         w.u64(0);
         w.u64(0);
         w.u64(0);
-        w.u32(0); // no atomics
+        w.u32(0); // no live activations
+        w.u32(0); // atomics watermark
+        w.u32(0); // no atomic slots
         w.u32(0); // empty stack
-        w.u32(0); // no active counters
         let bytes = w.into_vec();
-        let p = Profile::decode_wire_dense(&mut Reader::new(&bytes)).unwrap();
+        let mut r = Reader::new(&bytes);
+        let p = Profile::decode_wire(&mut r).unwrap();
+        r.expect_end().unwrap();
         assert!(format!("{p:?}").contains("incl_ns: 77"));
     }
 

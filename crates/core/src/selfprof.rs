@@ -38,7 +38,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Events entering the queue (after shard-route diversion).
+    /// Events entering the queue.
     QueuePush,
     /// Events leaving the queue.
     QueuePop,
@@ -104,7 +104,7 @@ pub struct Snapshot {
     /// Dispatches per event class, index-aligned with
     /// [`EVENT_CLASS_NAMES`].
     pub dispatch_count: [u64; NUM_EVENT_CLASSES],
-    /// Host nanoseconds spent in `dispatch_on` per event class.
+    /// Host nanoseconds spent dispatching (`Cluster::handle`) per event class.
     pub dispatch_ns: [u64; NUM_EVENT_CLASSES],
 }
 

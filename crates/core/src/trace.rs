@@ -145,11 +145,13 @@ impl TraceBuffer {
         }
         let lost = r.u64()?;
         let total = r.u64()?;
-        let n = r.u32()? as usize;
+        let n = r.counted(13, "trace record count")?;
         if n > capacity {
             return Err(CodecError::BadField("trace length"));
         }
-        let mut buf = VecDeque::with_capacity(capacity);
+        // Reserve for the records present, not the claimed capacity: the
+        // ring grows toward `capacity` as records arrive.
+        let mut buf = VecDeque::with_capacity(n);
         for _ in 0..n {
             let ts_ns = r.u64()?;
             let event = EventId(r.u32()?);

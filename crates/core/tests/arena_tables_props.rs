@@ -4,9 +4,8 @@
 //! a dense reference model — plain `Vec`s indexed by event id, exactly the
 //! pre-arena storage — through the same random probe / batch-fold / reset
 //! sequence, then checks every observable surface: point reads, iteration
-//! order, totals, `Debug` text (what state digests hash), and byte-for-byte
-//! parity of the dense v1 wire image against one hand-encoded from the
-//! model.
+//! order, totals, `Debug` text (what state digests hash) against the text
+//! the model's dense vectors print, and the KTAS wire roundtrip.
 
 mod common;
 
@@ -60,12 +59,14 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
 // ---------------------------------------------------------------------------
 
 /// Mirror of one live activation frame, kept so the model can reproduce the
-/// stop-time inclusive/exclusive arithmetic and the v1 stack encoding.
-struct Frame {
-    id: u32,
-    entry: u64,
-    child: u64,
-    interval: u64,
+/// stop-time inclusive/exclusive arithmetic.  Its derived `Debug` is the
+/// text the profile prints for a live frame.
+#[derive(Debug)]
+struct Activation {
+    event: EventId,
+    entry_ns: u64,
+    child_ns: u64,
+    interval_ns: u64,
     recursive: bool,
 }
 
@@ -78,7 +79,7 @@ proptest! {
         let mut entries: Vec<EntryExitStats> = Vec::new();
         let mut active: Vec<u32> = Vec::new();
         let mut atomics: Vec<AtomicStats> = Vec::new();
-        let mut stack: Vec<Frame> = Vec::new();
+        let mut stack: Vec<Activation> = Vec::new();
         let mut now: u64 = 1;
 
         for op in &ops {
@@ -92,18 +93,18 @@ proptest! {
                     let recursive = active[id as usize] > 0;
                     active[id as usize] += 1;
                     p.start(EventId(id), now);
-                    stack.push(Frame { id, entry: now, child: 0, interval: 0, recursive });
+                    stack.push(Activation { event: EventId(id), entry_ns: now, child_ns: 0, interval_ns: 0, recursive });
                     now += dwell;
                 }
                 POp::Stop { dwell } => {
                     let Some(f) = stack.pop() else { continue };
-                    p.stop(EventId(f.id), now).unwrap();
-                    active[f.id as usize] -= 1;
-                    let incl = now - f.entry;
-                    let excl = incl.saturating_sub(f.child);
-                    model_record(&mut entries[f.id as usize], incl, excl, !f.recursive);
+                    p.stop(f.event, now).unwrap();
+                    active[f.event.0 as usize] -= 1;
+                    let incl = now - f.entry_ns;
+                    let excl = incl.saturating_sub(f.child_ns);
+                    model_record(&mut entries[f.event.0 as usize], incl, excl, !f.recursive);
                     if let Some(parent) = stack.last_mut() {
-                        parent.child += incl;
+                        parent.child_ns += incl;
                     }
                     now += dwell;
                 }
@@ -133,10 +134,10 @@ proptest! {
                     p.add_interval(EventId(id), d);
                     model_record(&mut entries[id as usize], d, d, true);
                     if let Some(top) = stack.last_mut() {
-                        top.child += d;
+                        top.child_ns += d;
                     }
                     for f in &mut stack {
-                        f.interval += d;
+                        f.interval_ns += d;
                     }
                 }
                 POp::Atomic { id, v } => {
@@ -153,8 +154,8 @@ proptest! {
                         *a = AtomicStats::default();
                     }
                     for f in &mut stack {
-                        f.child = 0;
-                        f.interval = 0;
+                        f.child_ns = 0;
+                        f.interval_ns = 0;
                     }
                 }
             }
@@ -188,57 +189,27 @@ proptest! {
         prop_assert_eq!(got, want);
         prop_assert_eq!(p.total_excl_ns(), entries.iter().map(|e| e.excl_ns).sum::<u64>());
 
-        // The dense v1 wire image must be byte-identical to one hand-encoded
-        // straight from the dense model — the arena synthesizes exactly the
-        // old layout.
-        let mut w = Writer::new();
-        p.encode_wire_dense(&mut w);
-        let mut m = Writer::new();
-        m.u32(entries.len() as u32);
-        for e in &entries {
-            m.u64(e.count);
-            m.u64(e.incl_ns);
-            m.u64(e.excl_ns);
-            m.u64(e.min_incl_ns);
-            m.u64(e.max_incl_ns);
-        }
-        m.u32(atomics.len() as u32);
-        for a in &atomics {
-            m.u64(a.count);
-            m.u64(a.sum);
-            m.u64(a.min);
-            m.u64(a.max);
-        }
-        m.u32(stack.len() as u32);
-        for f in &stack {
-            m.u32(f.id);
-            m.u64(f.entry);
-            m.u64(f.child);
-            m.u64(f.interval);
-            m.bool(f.recursive);
-        }
-        m.u32(active.len() as u32);
-        for &a in &active {
-            m.u32(a);
-        }
-        prop_assert_eq!(w.as_slice(), m.as_slice());
-
-        // Both codecs roundtrip to Debug-identical state (digests hash the
-        // Debug text), and dense-decoded state re-encodes to the identical
-        // compact image regardless of slot allocation order.
+        // Debug parity: the arena must print exactly what the old dense
+        // vectors printed (digests hash this text).
         let dbg = format!("{p:?}");
-        let d1 = Profile::decode_wire_dense(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d1:?}"), dbg.clone());
+        prop_assert_eq!(
+            dbg.clone(),
+            format!(
+                "Profile {{ entries: {entries:?}, atomics: {atomics:?}, stack: {stack:?}, active: {active:?} }}"
+            )
+        );
+
+        // The codec roundtrips to Debug-identical state, and the image is
+        // canonical: re-encoding the decoded profile reproduces it
+        // byte-for-byte even though in-memory slot allocation order (and
+        // zeroed slots a reset leaves behind) may differ.
+        let mut w = Writer::new();
+        p.encode_wire(&mut w);
+        let d = Profile::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        prop_assert_eq!(format!("{d:?}"), dbg);
         let mut w2 = Writer::new();
-        p.encode_wire(&mut w2);
-        let d2 = Profile::decode_wire(&mut Reader::new(w2.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d2:?}"), dbg.clone());
-        // The dense image is canonical: rehydrating and re-encoding it
-        // reproduces it byte-for-byte, even though in-memory slot allocation
-        // order (and zeroed slots a reset leaves behind) may differ.
-        let mut w3 = Writer::new();
-        d1.encode_wire_dense(&mut w3);
-        prop_assert_eq!(w3.as_slice(), w.as_slice());
+        d.encode_wire(&mut w2);
+        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
 }
 
@@ -311,28 +282,16 @@ proptest! {
             .collect();
         prop_assert_eq!(got, want);
 
-        // Byte-exact v1 image parity against the hand-encoded dense model.
-        let mut w = Writer::new();
-        t.encode_wire_dense(&mut w);
-        let mut m = Writer::new();
-        m.u32(rows.len() as u32);
-        for row in &rows {
-            m.u32(row.len() as u32);
-            for c in row {
-                m.u64(c.count);
-                m.u64(c.ns);
-            }
-        }
-        prop_assert_eq!(w.as_slice(), m.as_slice());
-
-        // Codec roundtrips preserve the Debug text digests hash.
+        // Debug parity: the arena must print exactly what the old dense
+        // rows printed (digests hash this text).
         let dbg = format!("{t:?}");
-        let d1 = MergedTable::decode_wire_dense(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d1:?}"), dbg.clone());
-        let mut w2 = Writer::new();
-        t.encode_wire(&mut w2);
-        let d2 = MergedTable::decode_wire(&mut Reader::new(w2.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d2:?}"), dbg.clone());
+        prop_assert_eq!(dbg.clone(), format!("MergedTable {{ rows: {rows:?} }}"));
+
+        // The codec roundtrips to Debug-identical state.
+        let mut w = Writer::new();
+        t.encode_wire(&mut w);
+        let d = MergedTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        prop_assert_eq!(format!("{d:?}"), dbg);
     }
 }
 
@@ -382,29 +341,11 @@ proptest! {
         // vector printed (digests hash this text).
         prop_assert_eq!(format!("{wt:?}"), format!("WallTable {{ slots: {model:?} }}"));
 
-        // Byte-exact v1 image parity against the hand-encoded dense model.
-        let mut w = Writer::new();
-        wt.encode_wire_dense(&mut w);
-        let mut m = Writer::new();
-        m.u32(model.len() as u32);
-        for o in &model {
-            match o {
-                None => m.u8(0),
-                Some(ns) => {
-                    m.u8(1);
-                    m.u64(*ns);
-                }
-            }
-        }
-        prop_assert_eq!(w.as_slice(), m.as_slice());
-
-        // Codec roundtrips preserve the Debug text.
+        // The codec roundtrips to Debug-identical state.
         let dbg = format!("{wt:?}");
-        let d1 = WallTable::decode_wire_dense(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d1:?}"), dbg.clone());
-        let mut w2 = Writer::new();
-        wt.encode_wire(&mut w2);
-        let d2 = WallTable::decode_wire(&mut Reader::new(w2.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d2:?}"), dbg.clone());
+        let mut w = Writer::new();
+        wt.encode_wire(&mut w);
+        let d = WallTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        prop_assert_eq!(format!("{d:?}"), dbg);
     }
 }

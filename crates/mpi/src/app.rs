@@ -56,8 +56,7 @@ pub trait MpiApp: Send {
     fn next(&mut self) -> MpiOp;
 
     /// Deep-copies the app, mid-execution state included, so the rank's
-    /// process can be checkpointed (sharded-engine rollback, cluster
-    /// snapshots).
+    /// process can be captured in cluster snapshots.
     fn clone_app(&self) -> Box<dyn MpiApp>;
 }
 

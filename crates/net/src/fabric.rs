@@ -86,23 +86,6 @@ impl Fabric {
     pub fn arrival(&self, departed: Ns) -> Ns {
         departed + self.latency_ns
     }
-
-    /// The conservative-PDES lookahead of this fabric: the minimum one-way
-    /// latency over all *cross-node* connections, or `None` when no such
-    /// connection exists (loopback traffic never leaves its node, so it
-    /// imposes no bound on cross-node delivery).
-    ///
-    /// `None` means nodes cannot interact at all — shards may run to
-    /// completion independently.  `Some(0)` means cross-node events can
-    /// arrive with zero delay, so no non-empty safe window exists and a
-    /// sharded engine must fall back to serial execution rather than spin
-    /// on zero-width windows.
-    pub fn min_link_latency(&self) -> Option<Ns> {
-        self.links
-            .iter()
-            .any(|l| !l.is_loopback())
-            .then_some(self.latency_ns)
-    }
 }
 
 #[cfg(test)]
@@ -136,30 +119,5 @@ mod tests {
         let mut f = Fabric::new(0);
         let c = f.open(3, 3);
         assert!(f.link(c).is_loopback());
-    }
-
-    #[test]
-    fn min_link_latency_ignores_loopback() {
-        // No links at all: no lookahead constraint.
-        let mut f = Fabric::new(60_000);
-        assert_eq!(f.min_link_latency(), None);
-        // A single node talking to itself still constrains nothing.
-        f.open(0, 0);
-        assert_eq!(f.min_link_latency(), None);
-        // The first cross-node link pins the lookahead to the fabric latency.
-        f.open(0, 1);
-        assert_eq!(f.min_link_latency(), Some(60_000));
-    }
-
-    #[test]
-    fn zero_latency_cross_node_link_yields_zero_lookahead() {
-        // A zero-latency fabric with real cross-node links must report
-        // `Some(0)` — a zero-width window — not `None`; callers use this to
-        // disable sharding instead of spinning on empty windows.
-        let mut f = Fabric::new(0);
-        f.open(2, 2);
-        assert_eq!(f.min_link_latency(), None);
-        f.open(0, 1);
-        assert_eq!(f.min_link_latency(), Some(0));
     }
 }

@@ -25,7 +25,6 @@ pub type Cycles = u64;
 pub mod cost;
 pub mod fabric;
 pub mod fault;
-pub mod handoff;
 pub mod nic;
 pub mod segment;
 pub mod socket;
@@ -33,7 +32,6 @@ pub mod socket;
 pub use cost::NetCostModel;
 pub use fabric::{Fabric, LinkSpec};
 pub use fault::{FaultPlan, FaultSpec, LinkInjector, LinkMatch, SegmentFate, DEFAULT_RTO_NS};
-pub use handoff::{HandoffMesh, Spsc};
 pub use nic::{Nic, NicState};
 pub use segment::{segment_count, segment_sizes, Segment, MSS, WIRE_OVERHEAD};
 pub use socket::{ConnId, DeliverOutcome, SocketRx, SocketRxState, SocketTx, SocketTxState};

@@ -13,8 +13,7 @@
 //! * [`node`] — one kernel instance: scheduler, syscalls, IRQ routing,
 //!   softirqs, socket lowering;
 //! * [`sim`] — the global event queue and [`sim::Cluster`];
-//! * [`shard`] — the conservative-PDES sharded runner: one cluster split
-//!   across worker threads with link-latency lookahead windows;
+//! * [`snapshot`] — the `KTAS` engine image behind snapshot/resume/fork;
 //! * [`procfs`] — the session-less `/proc/ktau` interface plus
 //!   `/proc/cpuinfo`;
 //! * [`probes`] — the fixed kernel instrumentation points;
@@ -29,7 +28,6 @@ pub mod noise;
 pub mod probes;
 pub mod procfs;
 pub mod program;
-pub mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod task;
@@ -42,7 +40,6 @@ pub use node::{Cpu, Node, RxConnStats, TaskSpec, TxConnStats};
 pub use probes::{names as probe_names, KernelProbes};
 pub use procfs::ProcError;
 pub use program::{FnProgram, LoopProgram, Op, OpList, Program};
-pub use shard::ShardStats;
 pub use sim::{Cluster, Event, EventQueue};
-pub use snapshot::{ClusterSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SNAPSHOT_VERSION_MIN};
+pub use snapshot::{ClusterSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use task::{BlockedOn, OpState, Pid, SendRetry, SwitchOutReason, Task, TaskKind, TaskState};

@@ -182,8 +182,8 @@ pub struct Node {
     trace_capacity: Option<usize>,
     /// App tasks that exited (drives cluster completion tracking).
     pub(crate) apps_exited: u64,
-    /// App tasks ever spawned here (the sharded runner's per-shard
-    /// completion target; zombie reaping must not disturb it).
+    /// App tasks ever spawned here.  Part of the snapshot image; zombie
+    /// reaping must not disturb it.
     pub(crate) apps_spawned: u64,
     /// Node-degradation fault spec, if this node is configured to fail.
     pub(crate) degrade: Option<DegradeSpec>,
@@ -1806,22 +1806,22 @@ impl Node {
             fnv(h, c.idle_ns);
             fnv(h, c.steal_ns);
         }
-        let mut buf = String::new();
         for pid in self.tasks.pids() {
             let t = &self.tasks[pid];
             fnv(h, pid.0 as u64);
             fnv(h, t.cpu_ns);
             use std::fmt::Write;
-            buf.clear();
+            // Streamed into the hash: no per-task text buffer, however
+            // large the task's `Debug` output.
             let _ = write!(
-                buf,
+                ktau_core::digest::FnvWriter(h),
                 "{}|{:?}|{:?}|{:?}|{:?}",
-                t.comm, t.state, t.op, t.counters, t.meas
+                t.comm,
+                t.state,
+                t.op,
+                t.counters,
+                t.meas
             );
-            for b in buf.as_bytes() {
-                *h ^= *b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
         }
     }
 
@@ -2241,9 +2241,7 @@ impl Node {
     /// Structural state a fresh [`Node::boot`] from the same spec recreates
     /// identically (name, kernel probe registrations, clock) is *not*
     /// written; [`Node::apply_state`] overlays this image onto such a boot.
-    /// `compact` selects the KTAS v2 arena layout for the per-task
-    /// measurement sections (v1 images use the dense layout).
-    pub(crate) fn encode_state(&self, w: &mut Writer, compact: bool) {
+    pub(crate) fn encode_state(&self, w: &mut Writer) {
         w.u32(self.id);
         w.u8(self.online);
         w.u32(self.next_pid);
@@ -2314,7 +2312,7 @@ impl Node {
                 None => w.u8(0),
                 Some(t) => {
                     w.u8(1);
-                    t.encode_wire(w, compact);
+                    t.encode_wire(w);
                 }
             }
         }
@@ -2399,13 +2397,7 @@ impl Node {
     /// bit-identical (digest and future behaviour) to the captured one.
     /// Returns the pids whose tasks had a program attached at capture; the
     /// caller re-attaches the snapshot side-car clones under those pids.
-    /// `compact` must match the image version (KTAS v1 = dense measurement
-    /// sections, v2+ = compact).
-    pub(crate) fn apply_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        compact: bool,
-    ) -> Result<Vec<Pid>, CodecError> {
+    pub(crate) fn apply_state(&mut self, r: &mut Reader<'_>) -> Result<Vec<Pid>, CodecError> {
         if r.u32()? != self.id {
             return Err(CodecError::BadField("node id"));
         }
@@ -2452,7 +2444,10 @@ impl Node {
             return Err(CodecError::BadField("nic rate"));
         }
         self.nic = Nic::from_state(nic);
-        let n_cpus = r.u32()? as usize;
+        // Every count below is checked against the bytes left before
+        // anything is reserved for it: each element occupies at least the
+        // given number of image bytes.
+        let n_cpus = r.counted(63, "cpu count")?;
         let mut cpus = Vec::with_capacity(n_cpus);
         for _ in 0..n_cpus {
             cpus.push(Cpu {
@@ -2470,10 +2465,10 @@ impl Node {
             });
         }
         self.cpus = cpus;
-        let n_rq = r.u32()? as usize;
+        let n_rq = r.counted(4, "runqueue count")?;
         let mut runqueues = Vec::with_capacity(n_rq);
         for _ in 0..n_rq {
-            let len = r.u32()? as usize;
+            let len = r.counted(4, "runqueue length")?;
             let mut rq = VecDeque::with_capacity(len);
             for _ in 0..len {
                 rq.push_back(Pid(r.u32()?));
@@ -2481,7 +2476,7 @@ impl Node {
             runqueues.push(rq);
         }
         self.runqueues = runqueues;
-        let n_lanes = r.u32()? as usize;
+        let n_lanes = r.counted(17, "tick lane count")?;
         let mut parked_tick = Vec::with_capacity(n_lanes);
         let mut parked_gen = Vec::with_capacity(n_lanes);
         let mut parked_point = Vec::with_capacity(n_lanes);
@@ -2493,14 +2488,18 @@ impl Node {
         self.parked_tick = parked_tick;
         self.parked_gen = parked_gen;
         self.parked_point = parked_point;
-        let n_slots = r.u32()? as usize;
+        let n_slots = r.counted(1, "task slot count")?;
         let mut slots = Vec::with_capacity(n_slots);
         let mut needs_program = Vec::new();
         for _ in 0..n_slots {
             match r.u8()? {
                 0 => slots.push(None),
                 1 => {
-                    let (task, has_program) = Task::decode_wire(r, compact)?;
+                    let (task, has_program) = Task::decode_wire(r)?;
+                    // The slot index is the pid.
+                    if task.pid.0 as usize != slots.len() {
+                        return Err(CodecError::Corrupt("task pid"));
+                    }
                     if has_program {
                         needs_program.push(task.pid);
                     }
@@ -2510,7 +2509,7 @@ impl Node {
             }
         }
         self.tasks = TaskTable::from_slots(slots);
-        let n_tx = r.u32()? as usize;
+        let n_tx = r.counted(1, "tx socket count")?;
         let mut sock_tx = Vec::with_capacity(n_tx);
         for _ in 0..n_tx {
             match r.u8()? {
@@ -2537,7 +2536,7 @@ impl Node {
                             }
                             let injector = LinkInjector::resume(spec, state);
                             let rto_ns = r.u64()?;
-                            let n_unacked = r.u32()? as usize;
+                            let n_unacked = r.counted(12, "unacked segment count")?;
                             let mut unacked = BTreeMap::new();
                             for _ in 0..n_unacked {
                                 let seq = r.u64()?;
@@ -2557,7 +2556,7 @@ impl Node {
                         }
                         _ => return Err(CodecError::BadField("tx fault option")),
                     };
-                    let n_rel = r.u32()? as usize;
+                    let n_rel = r.counted(12, "pending release count")?;
                     let mut pending_release = VecDeque::with_capacity(n_rel);
                     for _ in 0..n_rel {
                         let t = r.u64()?;
@@ -2575,7 +2574,7 @@ impl Node {
             }
         }
         self.sock_tx = sock_tx;
-        let n_rx = r.u32()? as usize;
+        let n_rx = r.counted(1, "rx socket count")?;
         let mut sock_rx = Vec::with_capacity(n_rx);
         for _ in 0..n_rx {
             match r.u8()? {
@@ -2586,7 +2585,7 @@ impl Node {
                     let total_received = r.u64()?;
                     let total_consumed = r.u64()?;
                     let capacity = r_opt_u64(r)?;
-                    let n_ooo = r.u32()? as usize;
+                    let n_ooo = r.counted(12, "out-of-order segment count")?;
                     let mut ooo = Vec::with_capacity(n_ooo);
                     for _ in 0..n_ooo {
                         let seq = r.u64()?;
@@ -2621,7 +2620,7 @@ impl Node {
         // Rebuild user-routine registrations by replaying them in capture
         // order: the registry hands out dense ids deterministically, so
         // each replayed id must equal the captured one.
-        let n_user = r.u32()? as usize;
+        let n_user = r.counted(8, "user event count")?;
         for _ in 0..n_user {
             let name = r.str()?;
             let id = r.u32()?;
@@ -2635,10 +2634,15 @@ impl Node {
 
     /// Re-attaches a side-car program clone to a task after
     /// [`Node::apply_state`].
-    pub(crate) fn attach_program(&mut self, pid: Pid, program: Box<dyn Program>) {
+    pub(crate) fn attach_program(
+        &mut self,
+        pid: Pid,
+        program: Box<dyn Program>,
+    ) -> Result<(), CodecError> {
         self.tasks
             .get_mut(pid)
-            .expect("program side-car names a missing task")
+            .ok_or(CodecError::BadField("program side-car pid"))?
             .program = Some(program);
+        Ok(())
     }
 }

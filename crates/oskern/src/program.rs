@@ -72,8 +72,7 @@ pub trait Program: Send {
     fn next_op(&mut self) -> Op;
 
     /// Deep-copies the program, mid-execution state included.  Backs
-    /// checkpoint/rollback in the sharded engine (and mid-run cluster
-    /// snapshots generally): a cloned task must replay exactly the op
+    /// mid-run cluster snapshots: a cloned task must replay exactly the op
     /// sequence the original would have produced.
     fn clone_box(&self) -> Box<dyn Program>;
 }

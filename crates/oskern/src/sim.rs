@@ -116,19 +116,6 @@ impl Event {
     }
 }
 
-/// Cross-shard routing attached to a shard's event queue by the parallel
-/// runner.  While installed, any push addressed to a node outside the
-/// shard's contiguous `[lo, hi)` range is diverted into `outbox` (with its
-/// time and push point) instead of entering the local heap; the runner
-/// flushes the outbox over SPSC channels at window boundaries.  Node
-/// handlers stay completely unaware of sharding.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ShardRoute {
-    lo: u32,
-    hi: u32,
-    outbox: Vec<(Ns, Ns, Event)>,
-}
-
 /// One armed per-CPU timer interrupt, kept out of the main heap.
 #[derive(Debug, Clone, Copy)]
 struct TickLane {
@@ -264,8 +251,6 @@ pub struct EventQueue {
     now: Ns,
     /// When false, ticks share the wheel/heap tiers (reference mode).
     use_lanes: bool,
-    /// Cross-shard diversion, installed only on per-shard queues.
-    route: Option<ShardRoute>,
 }
 
 impl Default for EventQueue {
@@ -292,7 +277,6 @@ impl EventQueue {
             seq: 0,
             now: 0,
             use_lanes,
-            route: None,
         }
     }
 
@@ -319,13 +303,6 @@ impl EventQueue {
     /// engine pushed that tick one period before it fires, so the re-push
     /// must carry that original point to keep same-time ordering exact.
     pub fn push_at(&mut self, at: Ns, ev: Event, point: Ns) {
-        if let Some(route) = &mut self.route {
-            let node = ev.node();
-            if node < route.lo || node >= route.hi {
-                route.outbox.push((at, point, ev));
-                return;
-            }
-        }
         self.seq += 1;
         selfprof::inc(SpCounter::QueuePush);
         if self.use_lanes {
@@ -506,8 +483,9 @@ impl EventQueue {
         self.mature();
         // Tier selection, cheapest-first: the drain run almost always wins,
         // the overflow heap is empty outside long daemon sleeps, and lanes
-        // only exist in the fast engine.  Keys are unique (`seq`), so strict
-        // comparison is unambiguous; two comparisons pick the minimum.
+        // only exist in the dynticks engine.  Keys are unique (`seq`), so
+        // strict comparison is unambiguous; two comparisons pick the
+        // minimum.
         selfprof::add(SpCounter::KeyCmp, 2);
         let mut src: u8 = 0;
         let mut best = (Ns::MAX, Ns::MAX, u64::MAX);
@@ -565,42 +543,6 @@ impl EventQueue {
         [cur_t, ovf_t, lane_t].into_iter().flatten().min()
     }
 
-    /// An empty queue in the same engine mode (tick lanes on/off), for
-    /// partitioning one cluster queue into per-shard queues.
-    pub(crate) fn new_like(&self) -> EventQueue {
-        EventQueue {
-            use_lanes: self.use_lanes,
-            ..Default::default()
-        }
-    }
-
-    /// Installs cross-shard diversion: pushes addressed outside node range
-    /// `[lo, hi)` land in the outbox instead of the heap.
-    pub(crate) fn set_route(&mut self, lo: u32, hi: u32) {
-        self.route = Some(ShardRoute {
-            lo,
-            hi,
-            outbox: Vec::new(),
-        });
-    }
-
-    /// Takes everything diverted since the last call (empty when no route
-    /// is installed).
-    pub(crate) fn take_outbox(&mut self) -> Vec<(Ns, Ns, Event)> {
-        match &mut self.route {
-            Some(r) => std::mem::take(&mut r.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Removes the diversion (merge-back); panics if diverted events were
-    /// never collected — that would silently drop simulation events.
-    pub(crate) fn clear_route(&mut self) {
-        if let Some(r) = self.route.take() {
-            assert!(r.outbox.is_empty(), "clear_route with undelivered events");
-        }
-    }
-
     /// Number of pending events (armed ticks included).
     pub fn len(&self) -> usize {
         self.cur.len() + self.wheel_len + self.overflow.len() + self.lanes.len()
@@ -647,8 +589,9 @@ impl EventQueue {
 
     // -- engine snapshot codec ----------------------------------------------
 
-    /// True when ticks live in the dedicated lane heap (the engine-mode flag
-    /// a snapshot must reproduce on resume).
+    /// True when ticks live in the dedicated lane heap: the dynticks engine
+    /// (the all-heap reference engine keeps ticks in the shared tiers).
+    #[inline]
     pub(crate) fn uses_lanes(&self) -> bool {
         self.use_lanes
     }
@@ -657,14 +600,7 @@ impl EventQueue {
     /// pending entry as `(time, push point, seq, event)` in canonical
     /// `(time, point, seq)` order.  Heap and lane entries are merged into
     /// one list; the mode flag decides where each lands again on decode.
-    ///
-    /// Panics if a shard route is installed: snapshots are taken only from
-    /// a quiescent serial cluster, never mid-window from a shard queue.
     pub(crate) fn encode_wire(&self, w: &mut ktau_core::wire::Writer) {
-        assert!(
-            self.route.is_none(),
-            "snapshot of a shard-routed event queue"
-        );
         w.u64(self.now);
         w.u64(self.seq);
         let mut entries: Vec<(Ns, Ns, u64, Event)> = self
@@ -694,10 +630,12 @@ impl EventQueue {
 
     /// Rebuilds a queue from [`EventQueue::encode_wire`] bytes in the given
     /// engine mode.  Each entry keeps its exact `(time, point, seq)` key, so
-    /// the pop sequence is bit-identical to the captured queue's.
+    /// the pop sequence is bit-identical to the captured queue's.  Events
+    /// must address one of the cluster's `nodes`.
     pub(crate) fn decode_wire(
         r: &mut ktau_core::wire::Reader<'_>,
         use_lanes: bool,
+        nodes: usize,
     ) -> Result<EventQueue, ktau_core::wire::CodecError> {
         let mut q = if use_lanes {
             EventQueue::new()
@@ -711,12 +649,15 @@ impl EventQueue {
         // Entries landing at or below `cur_slot` insert into the drain
         // run, which is correct for any key in either representation.
         q.cur_slot = q.now >> WHEEL_SHIFT;
-        let n = r.u32()? as usize;
+        let n = r.counted(25, "queued event count")?;
         for _ in 0..n {
             let time = r.u64()?;
             let point = r.u64()?;
             let seq = r.u64()?;
             let ev = decode_event(r)?;
+            if ev.node() as usize >= nodes {
+                return Err(ktau_core::wire::CodecError::Corrupt("event node"));
+            }
             if use_lanes {
                 if let Event::Tick { node, cpu } = ev {
                     q.lane_insert(TickLane {
@@ -1002,69 +943,6 @@ pub(crate) fn fnv(h: &mut u64, word: u64) {
     ktau_core::digest::fnv_word(h, word);
 }
 
-/// Handles one event against a slice of nodes whose global ids start at
-/// `base`: settles the target node's parked ticks up to the event time,
-/// dispatches the event, and re-parks or re-arms the node's tick lanes.
-///
-/// The serial engine calls this with the full node vector and `base == 0`;
-/// each worker of the sharded engine calls it with its own contiguous node
-/// range and per-shard queue.  Keeping both paths on the same function is
-/// what makes the bit-identical-digest guarantee structural rather than
-/// coincidental.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dispatch_on(
-    nodes: &mut [Node],
-    base: u32,
-    queue: &mut EventQueue,
-    fabric: &Fabric,
-    tick_ns: Ns,
-    coalesce: bool,
-    ticks_dispatched: &mut u64,
-    at: Ns,
-    point: Ns,
-    ev: Event,
-) {
-    queue.set_now(at);
-    #[cfg(feature = "selfprof")]
-    let sp_start = std::time::Instant::now();
-    let idx = (ev.node() - base) as usize;
-    if coalesce {
-        nodes[idx].settle_parked(at, tick_ns, Some(point));
-    }
-    let (n, q, f) = (&mut nodes[idx], &mut *queue, fabric);
-    match ev {
-        Event::Tick { node, cpu } => {
-            *ticks_dispatched += 1;
-            n.maybe_degrade_tick(cpu, at, q, f);
-            // A hot-removed CPU's tick lane dies here: its timer is
-            // simply never re-armed.  Fault-free runs always take this
-            // branch, preserving the exact push sequence.
-            if cpu < n.online {
-                n.on_tick(cpu, at, q, f);
-                if coalesce && n.tick_coalescible(cpu) {
-                    n.park_tick(cpu, at + tick_ns, at);
-                } else {
-                    q.push(at + tick_ns, Event::Tick { node, cpu });
-                }
-            }
-        }
-        Event::CpuDone { cpu, gen, .. } => n.on_cpu_done(cpu, gen, at, q, f),
-        Event::SegArrive {
-            conn, seq, payload, ..
-        } => n.on_segment(conn, seq, payload, at, q, f),
-        Event::AckArrive { conn, ack_seq, .. } => n.on_ack(conn, ack_seq, at, q, f),
-        Event::RtxTimer { conn, gen, .. } => n.on_rtx_timer(conn, gen, at, q, f),
-        Event::TxDone { conn, payload, .. } => n.on_tx_done(conn, payload, at, q),
-        Event::Wake { pid, .. } => n.on_wake(pid, at, q, f),
-        Event::ReleaseWake { conn, .. } => n.on_release_wake(conn, at, q),
-    }
-    if coalesce {
-        nodes[idx].arm_uncoalescible(queue);
-    }
-    #[cfg(feature = "selfprof")]
-    selfprof::dispatch_ns(event_class(&ev), sp_start.elapsed().as_nanos() as u64);
-}
-
 /// The self-profiler's event-class index for an event: its wire tag, which
 /// [`ktau_core::selfprof::EVENT_CLASS_NAMES`] is aligned with.
 #[cfg(feature = "selfprof")]
@@ -1134,18 +1012,7 @@ pub struct Cluster {
     pub(crate) apps_spawned: u64,
     pub(crate) events_processed: u64,
     pub(crate) ticks_dispatched: u64,
-    /// Dynticks (NO_HZ-style) engine: coalescible timer ticks are parked
-    /// per CPU and folded analytically instead of dispatched one by one,
-    /// and per-segment `TxDone` bookkeeping events are elided into a lazy
-    /// release ledger.  Simulated state is bit-identical to the per-tick
-    /// engines.
-    pub(crate) coalesce_ticks: bool,
     pub(crate) spec: ClusterSpec,
-    /// Requested worker count for the conservative-PDES sharded runner;
-    /// 1 (the default) keeps every run on the serial path.
-    pub(crate) shards: usize,
-    /// Diagnostics from the most recent sharded run, if any.
-    pub(crate) last_shard_stats: Option<crate::shard::ShardStats>,
 }
 
 impl Cluster {
@@ -1154,29 +1021,26 @@ impl Cluster {
     /// timer interrupts are not phase-locked).  Uses the dynticks engine:
     /// coalescible ticks are folded in closed form rather than dispatched.
     pub fn new(spec: ClusterSpec) -> Self {
-        Cluster::boot_with_queue(spec, EventQueue::new(), true)
+        Cluster::boot(spec, true)
     }
 
-    /// Boots with the PR 1 fast engine: tick-lane event queue, every tick
+    /// Boots with the all-heap reference engine: no tick lanes, every tick
     /// dispatched individually.  Simulated behaviour is identical to
-    /// [`Cluster::new`]; benchmarks compare the engine generations.
-    pub fn new_fast_engine(spec: ClusterSpec) -> Self {
-        Cluster::boot_with_queue(spec, EventQueue::new(), false)
-    }
-
-    /// Boots with the all-heap reference event queue (no tick lanes, no
-    /// coalescing).  Simulated behaviour is identical to [`Cluster::new`];
-    /// this exists so benchmarks and equivalence tests can compare the
-    /// engine paths.
+    /// [`Cluster::new`]; this is the independent oracle equivalence tests
+    /// and benchmarks check the dynticks engine against.
     pub fn new_reference_engine(spec: ClusterSpec) -> Self {
-        Cluster::boot_with_queue(spec, EventQueue::new_all_heap(), false)
+        Cluster::boot(spec, false)
     }
 
-    pub(crate) fn boot_with_queue(
-        spec: ClusterSpec,
-        mut queue: EventQueue,
-        coalesce_ticks: bool,
-    ) -> Self {
+    /// Boots the dynticks engine (`dynticks`: tick lanes plus coalescing)
+    /// or the reference engine.  The queue's lane mode is the one engine
+    /// flag; [`Cluster::coalesce_ticks`] reads it back.
+    pub(crate) fn boot(spec: ClusterSpec, dynticks: bool) -> Self {
+        let mut queue = if dynticks {
+            EventQueue::new()
+        } else {
+            EventQueue::new_all_heap()
+        };
         let fabric = Fabric::new(spec.fabric_latency_ns);
         let control = std::sync::Arc::new(spec.control.clone());
         let mut nodes = Vec::with_capacity(spec.nodes.len());
@@ -1194,13 +1058,13 @@ impl Cluster {
                 spec.trace_capacity,
             );
             node.degrade = spec.degrade_for(i as u32);
-            node.dynticks = coalesce_ticks;
+            node.dynticks = dynticks;
             let tick = spec.sched.tick_ns();
             for c in 0..node.online {
                 // Deterministic stagger: nodes offset by a prime-ish stride,
                 // CPUs by half a tick.
                 let off = (i as u64 * 137_829 + c as u64 * tick / 2) % tick;
-                if coalesce_ticks && node.tick_coalescible(c) {
+                if dynticks && node.tick_coalescible(c) {
                     // Freshly booted CPUs are idle with empty runqueues:
                     // park the lane instead of arming the first tick.  The
                     // reference engine pushes boot ticks at time 0, so that
@@ -1226,10 +1090,7 @@ impl Cluster {
             apps_spawned: 0,
             events_processed: 0,
             ticks_dispatched: 0,
-            coalesce_ticks,
             spec,
-            shards: 1,
-            last_shard_stats: None,
         };
         cluster.spawn_noise();
         cluster
@@ -1274,7 +1135,7 @@ impl Cluster {
     /// and then re-armed as ordinary queue events.  The next dispatched
     /// tick re-parks the lane if it is still coalescible.
     pub fn node_mut(&mut self, id: u32) -> &mut Node {
-        if self.coalesce_ticks {
+        if self.coalesce_ticks() {
             self.settle_node(id, self.now, None);
             let (n, q, _) = self.parts(id);
             n.unpark_all(q);
@@ -1287,34 +1148,14 @@ impl Cluster {
         self.now
     }
 
-    /// Requests `n` conservative-PDES worker shards for subsequent runs
-    /// (clamped to at least 1; node count caps the effective value).  With
-    /// `n >= 2` an eligible topology — two or more nodes, non-zero minimum
-    /// cross-node link latency — runs the event loop on `n` threads with
-    /// bit-identical results to the serial engine; ineligible topologies
-    /// silently fall back to the serial path.
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = n.max(1);
-    }
-
-    /// The requested shard count (1 = serial).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Diagnostics from the most recent sharded run: windows, barriers,
-    /// cross-shard mail, checkpoint/rollback counts.  `None` until a run
-    /// actually executed on the sharded path.
-    pub fn shard_stats(&self) -> Option<&crate::shard::ShardStats> {
-        self.last_shard_stats.as_ref()
-    }
-
-    /// True when the current topology and shard request qualify for the
-    /// parallel runner.  A zero minimum link latency means zero lookahead —
-    /// conservative windows would have zero width — so such topologies stay
-    /// serial (an unlinked topology, `None`, shards trivially).
-    fn shard_eligible(&self) -> bool {
-        self.shards >= 2 && self.nodes.len() >= 2 && self.fabric.min_link_latency() != Some(0)
+    /// True on the dynticks engine: coalescible timer ticks are parked per
+    /// CPU and folded analytically instead of dispatched one by one, and
+    /// per-segment `TxDone` bookkeeping events are elided into a lazy
+    /// release ledger.  Simulated state is bit-identical to the reference
+    /// engine's.
+    #[inline]
+    pub(crate) fn coalesce_ticks(&self) -> bool {
+        self.queue.uses_lanes()
     }
 
     /// The cluster spec this was booted from.
@@ -1391,21 +1232,53 @@ impl Cluster {
         n.arm_uncoalescible(q);
     }
 
+    /// Dispatches one event: settles the target node's parked ticks up to
+    /// the event time, runs the handler, and re-parks or re-arms the node's
+    /// tick lanes.
     fn handle(&mut self, at: Ns, point: Ns, ev: Event) {
         self.now = at;
         self.events_processed += 1;
-        dispatch_on(
-            &mut self.nodes,
-            0,
-            &mut self.queue,
-            &self.fabric,
-            self.spec.sched.tick_ns(),
-            self.coalesce_ticks,
-            &mut self.ticks_dispatched,
-            at,
-            point,
-            ev,
-        );
+        self.queue.set_now(at);
+        #[cfg(feature = "selfprof")]
+        let sp_start = std::time::Instant::now();
+        let coalesce = self.coalesce_ticks();
+        let tick_ns = self.spec.sched.tick_ns();
+        let n = &mut self.nodes[ev.node() as usize];
+        if coalesce {
+            n.settle_parked(at, tick_ns, Some(point));
+        }
+        let (q, f) = (&mut self.queue, &self.fabric);
+        match ev {
+            Event::Tick { node, cpu } => {
+                self.ticks_dispatched += 1;
+                n.maybe_degrade_tick(cpu, at, q, f);
+                // A hot-removed CPU's tick lane dies here: its timer is
+                // simply never re-armed.  Fault-free runs always take this
+                // branch, preserving the exact push sequence.
+                if cpu < n.online {
+                    n.on_tick(cpu, at, q, f);
+                    if coalesce && n.tick_coalescible(cpu) {
+                        n.park_tick(cpu, at + tick_ns, at);
+                    } else {
+                        q.push(at + tick_ns, Event::Tick { node, cpu });
+                    }
+                }
+            }
+            Event::CpuDone { cpu, gen, .. } => n.on_cpu_done(cpu, gen, at, q, f),
+            Event::SegArrive {
+                conn, seq, payload, ..
+            } => n.on_segment(conn, seq, payload, at, q, f),
+            Event::AckArrive { conn, ack_seq, .. } => n.on_ack(conn, ack_seq, at, q, f),
+            Event::RtxTimer { conn, gen, .. } => n.on_rtx_timer(conn, gen, at, q, f),
+            Event::TxDone { conn, payload, .. } => n.on_tx_done(conn, payload, at, q),
+            Event::Wake { pid, .. } => n.on_wake(pid, at, q, f),
+            Event::ReleaseWake { conn, .. } => n.on_release_wake(conn, at, q),
+        }
+        if coalesce {
+            n.arm_uncoalescible(q);
+        }
+        #[cfg(feature = "selfprof")]
+        selfprof::dispatch_ns(event_class(&ev), sp_start.elapsed().as_nanos() as u64);
     }
 
     /// Folds every node's parked ticks that fire strictly before `horizon`
@@ -1439,21 +1312,22 @@ impl Cluster {
 
     /// Timer ticks whose full handler effect was applied analytically by the
     /// dynticks engine instead of being dispatched from the event queue.
-    /// Always 0 on the fast/reference engines.
+    /// Always 0 on the reference engine.
     pub fn ticks_coalesced(&self) -> u64 {
         self.nodes.iter().map(|n| n.ticks_coalesced).sum()
     }
 
     /// Per-segment `TxDone` bookkeeping events replaced by ledger entries by
-    /// the dynticks engine.  Always 0 on the fast/reference engines.
+    /// the dynticks engine.  Always 0 on the reference engine.
     pub fn txdone_elided(&self) -> u64 {
         self.nodes.iter().map(|n| n.txdone_elided).sum()
     }
 
     /// Total simulated events: dispatched events plus coalesced ticks and
-    /// elided `TxDone`s whose effects were applied without a dispatch.  This
-    /// is the engine-independent measure of simulated work; it is identical
-    /// across the dynticks/fast/reference engines for the same workload.
+    /// elided `TxDone`s whose effects were applied without a dispatch — the
+    /// measure of simulated work to compare across engines.  It is not
+    /// equal across them: the dynticks engine also dispatches ledger
+    /// events of its own (`ReleaseWake`).
     pub fn events_simulated(&self) -> u64 {
         self.events_processed + self.ticks_coalesced() + self.txdone_elided()
     }
@@ -1462,7 +1336,7 @@ impl Cluster {
     /// simulation state: virtual time plus every task's identity, counters,
     /// profile and merged/wall aggregates on every node.  Two engines that
     /// simulated the same workload must produce equal digests; equivalence
-    /// tests compare this across the dynticks/fast/reference engines.
+    /// tests compare this across the dynticks and reference engines.
     pub fn state_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fnv(&mut h, self.now);
@@ -1479,23 +1353,9 @@ impl Cluster {
     /// deadlock — e.g. mismatched sends/receives), identifying the stuck
     /// tasks.
     pub fn run_until_apps_exit(&mut self, deadline_ns: Ns) -> Ns {
-        if self.shard_eligible() {
-            if let Some(t) = crate::shard::run_until_apps_exit_sharded(self, deadline_ns) {
-                return t;
-            }
-            // The sharded runner declined (nothing to do, deadline, or
-            // deadlock): state has been merged back, and the serial loop
-            // below reproduces the exact serial outcome — including the
-            // diagnostics panic, when one is due.
-        }
-        self.run_until_apps_exit_serial(deadline_ns)
-    }
-
-    pub(crate) fn run_until_apps_exit_serial(&mut self, deadline_ns: Ns) -> Ns {
         let mut handled_any = false;
         // Exit counting is incremental: a dispatch can only retire app tasks
-        // on the node the event addresses (the same invariant the sharded
-        // engine's replay check leans on), so the loop tracks the cluster
+        // on the node the event addresses, so the loop tracks the cluster
         // total with one per-node delta instead of re-summing all nodes
         // every event.
         let mut exited = self.apps_exited();
@@ -1521,7 +1381,7 @@ impl Cluster {
                     );
                 }
                 None => {
-                    if self.coalesce_ticks && self.nodes.iter().any(|n| n.parked_lanes() > 0) {
+                    if self.coalesce_ticks() && self.nodes.iter().any(|n| n.parked_lanes() > 0) {
                         // Only parked (provably no-op) ticks remain: the
                         // reference engine would dispatch them up to the
                         // deadline and then fail with the deadline panic.
@@ -1544,9 +1404,8 @@ impl Cluster {
         // cascades those dispatches push at T*).  The run then ends on a
         // pure virtual-time predicate — "every event with time <= T* has
         // been processed" — independent of the sub-nanosecond (push-point,
-        // seq) rank of the finishing event.  That predicate is what the
-        // sharded engine reproduces per shard, so serial and sharded runs
-        // stop on exactly the same prefix of the event timeline.
+        // seq) rank of the finishing event, so both engines stop on exactly
+        // the same prefix of the event timeline.
         if handled_any {
             self.drain_now();
         }
@@ -1557,23 +1416,20 @@ impl Cluster {
     /// time, including same-nanosecond cascades, then folds all parked
     /// ticks firing at or before it (the reference engine would have
     /// dispatched those ticks during the drain).
-    pub(crate) fn drain_now(&mut self) {
+    fn drain_now(&mut self) {
         // No pending event can precede `now` (pops are monotone in time and
         // handlers never schedule into the past), so "time == now" and
         // "time <= now" select the same events.
         while let Some((t, p, ev)) = self.queue.pop_due(self.now) {
             self.handle(t, p, ev);
         }
-        if self.coalesce_ticks {
+        if self.coalesce_ticks() {
             self.settle_all(self.now + 1, None);
         }
     }
 
     /// Runs for `dur` nanoseconds of virtual time.
     pub fn run_for(&mut self, dur: Ns) -> Ns {
-        if self.shard_eligible() && dur > 0 {
-            return crate::shard::run_for_sharded(self, dur);
-        }
         let end = self.now + dur;
         while let Some(t) = self.queue.peek_time() {
             if t > end {
@@ -1584,7 +1440,7 @@ impl Cluster {
         }
         // The reference engine dispatches ticks *at* `end` too (`t <= end`
         // above), so fold parked ticks strictly below `end + 1`.
-        if self.coalesce_ticks {
+        if self.coalesce_ticks() {
             self.settle_all(end + 1, None);
         }
         self.now = end;
@@ -1714,7 +1570,7 @@ mod tests {
     /// shared heap, under interleaved pushes and pops with colliding times.
     #[test]
     fn lanes_match_all_heap_ordering() {
-        let mut fast = EventQueue::new();
+        let mut lanes = EventQueue::new();
         let mut reference = EventQueue::new_all_heap();
         // Deterministic scramble with many equal timestamps to stress the
         // FIFO tie-break across the lane/heap boundary.
@@ -1730,21 +1586,21 @@ mod tests {
             let r = step(&mut state);
             let at = (r % 50) * 10; // heavy time collisions
             let ev = mixed_event((r % 4) as u32, r);
-            fast.push(at, ev);
+            lanes.push(at, ev);
             reference.push(at, ev);
             if round % 3 == 0 {
-                let (a, b) = (fast.pop(), reference.pop());
+                let (a, b) = (lanes.pop(), reference.pop());
                 assert_eq!(a, b, "divergence at round {round}");
                 popped += 1;
             }
-            assert_eq!(fast.len(), reference.len());
-            assert_eq!(fast.peek_time(), reference.peek_time());
+            assert_eq!(lanes.len(), reference.len());
+            assert_eq!(lanes.peek_time(), reference.peek_time());
         }
         while let Some(b) = reference.pop() {
-            assert_eq!(fast.pop(), Some(b));
+            assert_eq!(lanes.pop(), Some(b));
             popped += 1;
         }
-        assert!(fast.is_empty());
+        assert!(lanes.is_empty());
         assert_eq!(popped, 2000);
     }
 

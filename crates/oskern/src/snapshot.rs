@@ -43,12 +43,10 @@ use std::sync::{Arc, Mutex};
 
 /// Magic prefix of engine snapshot images.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"KTAS";
-/// Current snapshot image version.  v2 (PR 9) stores per-task measurement
-/// sections in the compact arena layout; v1 images (dense measurement
-/// vectors) still decode — [`Cluster::resume`] accepts both.
+/// Snapshot image version.  v2 stores per-task measurement sections in the
+/// compact arena layout; [`Cluster::resume`] rejects every other version,
+/// including the retired dense-layout v1.
 pub const SNAPSHOT_VERSION: u16 = 2;
-/// Oldest snapshot image version [`Cluster::resume`] still decodes.
-pub const SNAPSHOT_VERSION_MIN: u16 = 1;
 
 // -- event-group tags --------------------------------------------------------
 
@@ -277,11 +275,17 @@ fn encode_spec(w: &mut Writer, spec: &ClusterSpec) {
 }
 
 fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
-    let n_nodes = r.u32()? as usize;
+    // Counts are checked against the bytes left before anything is
+    // reserved for them (each element's minimum encoded size).
+    let n_nodes = r.counted(19, "node count")?;
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
         let name = r.str()?;
         let cpus = r.u8()?;
+        // Task affinity is a 32-bit CPU mask.
+        if cpus > 32 {
+            return Err(CodecError::BadField("cpu count"));
+        }
         let detected_cpus = match r.u8()? {
             0 => None,
             1 => Some(r.u8()?),
@@ -340,7 +344,8 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
         tick_cycles: r.u64()?,
         migration_cycles: r.u64()?,
     };
-    if sched.hz == 0 {
+    // The tick period (`1 s / hz`) must be at least one nanosecond.
+    if sched.hz == 0 || sched.hz as u64 > ktau_core::time::NS_PER_SEC {
         return Err(CodecError::BadField("sched hz"));
     }
     let noise = crate::config::NoiseSpec {
@@ -348,14 +353,22 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
         mean_period_ns: r.u64()?,
         mean_busy_ns: r.u64()?,
     };
+    // Daemons jitter their sleeps and bursts by up to 1.5x in per-mille
+    // steps: the products must fit in a u64.
+    if noise.mean_period_ns.max(noise.mean_busy_ns) > u64::MAX / 1500 {
+        return Err(CodecError::BadField("noise timing"));
+    }
     let seed = r.u64()?;
     let trace_capacity = match r.u8()? {
         0 => None,
-        1 => Some(r.u64()? as usize),
+        1 => match r.u64()? {
+            0 => return Err(CodecError::BadField("trace capacity")),
+            c => Some(c as usize),
+        },
         _ => return Err(CodecError::BadField("trace capacity option")),
     };
     let plan_seed = r.u64()?;
-    let n_rules = r.u32()? as usize;
+    let n_rules = r.counted(49, "fault rule count")?;
     let mut rules = Vec::with_capacity(n_rules);
     for _ in 0..n_rules {
         let m = match r.u8()? {
@@ -378,7 +391,7 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<ClusterSpec, CodecError> {
         1 => Some(r.u64()?),
         _ => return Err(CodecError::BadField("rcvbuf option")),
     };
-    let n_faults = r.u32()? as usize;
+    let n_faults = r.counted(18, "node fault count")?;
     let mut node_faults = Vec::with_capacity(n_faults);
     for _ in 0..n_faults {
         let node = r.u32()?;
@@ -424,6 +437,16 @@ impl ClusterSnapshot {
     pub fn image(&self) -> &[u8] {
         &self.image
     }
+    /// This snapshot's program side-car and capture digest paired with
+    /// other image bytes — how decoder tests feed [`Cluster::resume`]
+    /// corrupted or hand-patched images.
+    pub fn with_image(&self, image: Vec<u8>) -> ClusterSnapshot {
+        ClusterSnapshot {
+            image,
+            programs: self.programs.clone(),
+            digest: self.digest,
+        }
+    }
     /// The cluster's state digest at capture; [`Cluster::resume`] verifies
     /// the reconstruction against it.
     pub fn digest(&self) -> u64 {
@@ -436,7 +459,7 @@ impl ClusterSnapshot {
             return Err(CodecError::BadMagic);
         }
         let v = r.u16()?;
-        if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&v) {
+        if v != SNAPSHOT_VERSION {
             return Err(CodecError::BadVersion(v));
         }
         // Skip the spec (variable length) by decoding it.
@@ -460,29 +483,16 @@ impl std::fmt::Debug for ClusterSnapshot {
 impl Cluster {
     /// Captures the complete engine state as a [`ClusterSnapshot`].
     ///
-    /// Valid on a quiescent serial cluster — between [`Cluster::run_for`]
-    /// calls, not mid-dispatch and not while sharded routing is installed
-    /// (sharded runs tear their routing down before returning, so any
-    /// cluster you can call this on qualifies).
+    /// Valid between [`Cluster::run_for`] calls, never mid-dispatch.
     pub fn snapshot(&self) -> ClusterSnapshot {
-        self.snapshot_versioned(SNAPSHOT_VERSION)
-    }
-
-    /// [`Cluster::snapshot`] at an explicit image version — v1 emits the
-    /// dense pre-arena measurement sections so old readers (and the
-    /// version-compat tests) can round-trip current state.
-    #[doc(hidden)]
-    pub fn snapshot_versioned(&self, ver: u16) -> ClusterSnapshot {
-        assert!(
-            (SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&ver),
-            "unsupported snapshot version {ver}"
-        );
-        let compact = ver >= 2;
         let mut w = Writer::new();
         w.bytes(SNAPSHOT_MAGIC);
-        w.u16(ver);
+        w.u16(SNAPSHOT_VERSION);
         encode_spec(&mut w, &self.spec);
-        w.bool(self.coalesce_ticks);
+        // The engine mode, twice: as the coalescing flag and as the queue's
+        // lane flag.  The image layout keeps both bytes; resume rejects an
+        // image where they disagree.
+        w.bool(self.coalesce_ticks());
         w.bool(self.queue.uses_lanes());
         w.u64(self.now);
         w.u64(self.apps_spawned);
@@ -498,7 +508,7 @@ impl Cluster {
         self.queue.encode_wire(&mut w);
         w.u32(self.nodes.len() as u32);
         for n in &self.nodes {
-            n.encode_state(&mut w, compact);
+            n.encode_state(&mut w);
         }
         let digest = self.state_digest();
         w.u64(digest);
@@ -534,39 +544,47 @@ impl Cluster {
             return Err(CodecError::BadMagic);
         }
         let v = r.u16()?;
-        if !(SNAPSHOT_VERSION_MIN..=SNAPSHOT_VERSION).contains(&v) {
+        if v != SNAPSHOT_VERSION {
             return Err(CodecError::BadVersion(v));
         }
-        let compact = v >= 2;
         let spec = decode_spec(&mut r)?;
         let coalesce_ticks = r.bool()?;
         let use_lanes = r.bool()?;
+        if coalesce_ticks != use_lanes {
+            return Err(CodecError::Corrupt("engine mode"));
+        }
         let now = r.u64()?;
         let apps_spawned = r.u64()?;
         let events_processed = r.u64()?;
         let ticks_dispatched = r.u64()?;
         let latency_ns = r.u64()?;
-        let n_links = r.u32()? as usize;
+        let nodes = spec.nodes.len();
+        let n_links = r.counted(8, "link count")?;
         let mut links = Vec::with_capacity(n_links);
         for _ in 0..n_links {
             let src_node = r.u32()?;
             let dst_node = r.u32()?;
+            if src_node as usize >= nodes || dst_node as usize >= nodes {
+                return Err(CodecError::Corrupt("link node"));
+            }
             links.push(LinkSpec { src_node, dst_node });
         }
-        let queue = EventQueue::decode_wire(&mut r, use_lanes)?;
-        let boot_queue = if use_lanes {
-            EventQueue::new()
-        } else {
-            EventQueue::new_all_heap()
-        };
-        let mut cluster = Cluster::boot_with_queue(spec, boot_queue, coalesce_ticks);
-        let n_nodes = r.u32()? as usize;
-        if n_nodes != cluster.nodes.len() {
+        let queue = EventQueue::decode_wire(&mut r, use_lanes, nodes)?;
+        if r.u32()? as usize != nodes {
             return Err(CodecError::BadField("node count"));
         }
+        // Booting creates every node's idle task and noise daemons, each of
+        // which the image must then hold as a task slot (one byte at the
+        // least): a spec claiming more than the bytes left is corrupt, and
+        // is rejected before the boot would spend time and memory on it.
+        let daemons = nodes.saturating_mul(spec.noise.daemons_per_node as usize);
+        if nodes.saturating_add(daemons) > r.remaining() {
+            return Err(CodecError::Corrupt("noise daemon count"));
+        }
+        let mut cluster = Cluster::boot(spec, use_lanes);
         let mut needs_program = 0usize;
         for node in &mut cluster.nodes {
-            needs_program += node.apply_state(&mut r, compact)?.len();
+            needs_program += node.apply_state(&mut r)?.len();
         }
         let digest = r.u64()?;
         r.expect_end()?;
@@ -576,8 +594,6 @@ impl Cluster {
         cluster.apps_spawned = apps_spawned;
         cluster.events_processed = events_processed;
         cluster.ticks_dispatched = ticks_dispatched;
-        cluster.shards = 1;
-        cluster.last_shard_stats = None;
         if snap.programs.len() != needs_program {
             return Err(CodecError::BadField("program side-car"));
         }
@@ -586,7 +602,7 @@ impl Cluster {
                 .nodes
                 .get_mut(*node as usize)
                 .ok_or(CodecError::BadField("program side-car node"))?;
-            n.attach_program(Pid(*pid), prog.clone());
+            n.attach_program(Pid(*pid), prog.clone())?;
         }
         if cluster.state_digest() != digest {
             return Err(CodecError::DeltaMismatch);
@@ -694,6 +710,28 @@ mod tests {
     }
 
     #[test]
+    fn spec_codec_rejects_unbootable_values() {
+        type Patch = fn(&mut ClusterSpec);
+        let cases: [(Patch, &str); 4] = [
+            (|s| s.sched.hz = 2_000_000_000, "sched hz"),
+            (|s| s.noise.mean_busy_ns = u64::MAX / 1000, "noise timing"),
+            (|s| Arc::make_mut(&mut s.nodes[0]).cpus = 33, "cpu count"),
+            (|s| s.trace_capacity = Some(0), "trace capacity"),
+        ];
+        for (patch, field) in cases {
+            let mut s = spec();
+            patch(&mut s);
+            let mut w = Writer::new();
+            encode_spec(&mut w, &s);
+            let bytes = w.into_vec();
+            assert_eq!(
+                decode_spec(&mut Reader::new(&bytes)).err(),
+                Some(CodecError::BadField(field))
+            );
+        }
+    }
+
+    #[test]
     fn group_tags_roundtrip() {
         for &g in Group::ALL.iter() {
             assert_eq!(group_from_tag(group_tag(g)).unwrap(), g);
@@ -709,21 +747,40 @@ mod tests {
     }
 
     #[test]
-    fn unknown_snapshot_versions_are_rejected() {
-        let mut c = Cluster::new(ClusterSpec::chiba(1));
-        c.run_for(1_000_000);
-        let mut snap = c.snapshot();
-        // Patch the u16 version field (little-endian, right after the magic).
-        snap.image[4] = 99;
-        snap.image[5] = 0;
-        assert!(matches!(
-            Cluster::resume(&snap),
-            Err(CodecError::BadVersion(99))
-        ));
-        assert!(matches!(
-            snap.captured_at(),
-            Err(CodecError::BadVersion(99))
-        ));
+    fn malformed_image_headers_are_rejected() {
+        for mut c in [
+            Cluster::new(ClusterSpec::chiba(1)),
+            Cluster::new_reference_engine(ClusterSpec::chiba(1)),
+        ] {
+            c.run_for(1_000_000);
+            let snap = c.snapshot();
+            // Unknown versions, the retired dense-layout v1 included.
+            for v in [1u16, 99] {
+                let mut image = snap.image().to_vec();
+                // The u16 version field (little-endian, after the magic).
+                image[4..6].copy_from_slice(&v.to_le_bytes());
+                let bad = snap.with_image(image);
+                assert!(matches!(
+                    Cluster::resume(&bad),
+                    Err(CodecError::BadVersion(x)) if x == v
+                ));
+                assert!(matches!(
+                    bad.captured_at(),
+                    Err(CodecError::BadVersion(x)) if x == v
+                ));
+            }
+            // Engine-mode bytes that disagree.  They follow the spec.
+            let mut r = Reader::new(&snap.image()[6..]);
+            decode_spec(&mut r).unwrap();
+            let at = 6 + r.position();
+            let mut image = snap.image().to_vec();
+            assert_eq!(image[at], image[at + 1]);
+            image[at + 1] ^= 1;
+            assert!(matches!(
+                Cluster::resume(&snap.with_image(image)),
+                Err(CodecError::Corrupt("engine mode"))
+            ));
+        }
     }
 
     #[test]

@@ -248,9 +248,7 @@ impl Task {
     /// program body is not byte-serializable (closures); only its presence
     /// is recorded, and [`crate::snapshot::ClusterSnapshot`] carries the
     /// deep-cloned program in an in-memory side-car instead.
-    /// `compact` selects the KTAS v2 arena layout for the measurement
-    /// section (v1 images use the dense layout).
-    pub(crate) fn encode_wire(&self, w: &mut Writer, compact: bool) {
+    pub(crate) fn encode_wire(&self, w: &mut Writer) {
         w.u32(self.pid.0);
         w.str(&self.comm);
         w.u8(match self.kind {
@@ -286,7 +284,7 @@ impl Task {
         }
         encode_op_state(w, &self.op);
         w.bool(self.program.is_some());
-        self.meas.encode_wire(w, compact);
+        self.meas.encode_wire(w);
         let c = &self.counters;
         for v in [
             c.migrations,
@@ -324,10 +322,7 @@ impl Task {
     /// Inverse of [`Task::encode_wire`].  Returns the task (with `program`
     /// set to `None`) and whether the captured task had a program attached —
     /// the caller re-attaches the side-car clone under that flag.
-    pub(crate) fn decode_wire(
-        r: &mut Reader<'_>,
-        compact: bool,
-    ) -> Result<(Task, bool), CodecError> {
+    pub(crate) fn decode_wire(r: &mut Reader<'_>) -> Result<(Task, bool), CodecError> {
         let pid = Pid(r.u32()?);
         let comm = r.str()?;
         let kind = match r.u8()? {
@@ -361,7 +356,7 @@ impl Task {
         };
         let op = decode_op_state(r)?;
         let has_program = r.bool()?;
-        let meas = TaskMeasurement::decode_wire(r, compact)?;
+        let meas = TaskMeasurement::decode_wire(r)?;
         let counters = TaskCounters {
             migrations: r.u64()?,
             preemptions: r.u64()?,

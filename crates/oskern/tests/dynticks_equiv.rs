@@ -53,47 +53,6 @@ fn run_both(spec: ClusterSpec, drive: impl Fn(&mut Cluster)) -> ((u64, u64), (u6
     )
 }
 
-/// Runs the spec on the dynticks engine with `shards` requested workers,
-/// returning `(end, digest)`.
-fn run_with_shards(spec: ClusterSpec, shards: usize, drive: impl Fn(&mut Cluster)) -> (u64, u64) {
-    let mut c = Cluster::new(spec);
-    c.set_shards(shards);
-    drive(&mut c);
-    (c.now(), c.state_digest())
-}
-
-/// Spawns one sender/receiver pair per message around an `n`-node ring
-/// (message `i` flows `i % n → (i + 1) % n`), plus local programs spread
-/// across the nodes.
-fn drive_traffic_ring(c: &mut Cluster, n: u32, msgs: &[u64], extra: &[Vec<Op>]) {
-    for (i, &bytes) in msgs.iter().enumerate() {
-        let src = (i as u32) % n;
-        let dst = (src + 1) % n;
-        let conn = c.open_conn(src, dst);
-        c.spawn(
-            src,
-            TaskSpec::app(
-                format!("s{i}"),
-                Box::new(OpList::new(vec![Op::Send { conn, bytes }])),
-            ),
-        );
-        c.spawn(
-            dst,
-            TaskSpec::app(
-                format!("r{i}"),
-                Box::new(OpList::new(vec![Op::Recv { conn, bytes }])),
-            ),
-        );
-    }
-    for (i, ops) in extra.iter().enumerate() {
-        c.spawn(
-            (i as u32) % n,
-            TaskSpec::app(format!("x{i}"), Box::new(OpList::new(ops.clone()))),
-        );
-    }
-    c.run_until_apps_exit(600 * NS_PER_SEC);
-}
-
 /// Spawns one sender on node 0 and one receiver per message on node 1.
 fn drive_traffic(c: &mut Cluster, msgs: &[u64], extra: &[Vec<Op>]) {
     for (i, &bytes) in msgs.iter().enumerate() {
@@ -215,191 +174,21 @@ proptest! {
         prop_assert_eq!(d, r, "dynticks diverged from reference");
     }
 
-    /// The fast (tick-lane, no coalescing) engine also matches dynticks, so
-    /// all three generations agree pairwise.
-    #[test]
-    fn fast_engine_equivalent(progs in proptest::collection::vec(arb_local_program(), 1..3)) {
-        let spec = quiet(1);
-        let mut dyn_c = Cluster::new(spec.clone());
-        let mut fast_c = Cluster::new_fast_engine(spec);
-        for (i, ops) in progs.iter().enumerate() {
-            dyn_c.spawn(0, TaskSpec::app(format!("p{i}"), Box::new(OpList::new(ops.clone()))));
-            fast_c.spawn(0, TaskSpec::app(format!("p{i}"), Box::new(OpList::new(ops.clone()))));
-        }
-        dyn_c.run_until_apps_exit(3_600 * NS_PER_SEC);
-        fast_c.run_until_apps_exit(3_600 * NS_PER_SEC);
-        prop_assert_eq!(dyn_c.now(), fast_c.now());
-        prop_assert_eq!(dyn_c.state_digest(), fast_c.state_digest());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Conservative-PDES sharded runner: for every configuration class above, a
-// sharded run must be bit-identical to the serial dynticks engine at any
-// shard count (1 = the serial path itself, then 2 and the node count).
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Cross-node traffic around a 4-node ring (optionally with background
-    /// daemons): digests identical at shard counts 1, 2, and 4.
-    #[test]
-    fn sharded_network_equivalent(
-        msgs in arb_message_bytes(),
-        extra in proptest::collection::vec(arb_local_program(), 0..3),
-        noisy in any::<bool>(),
-    ) {
-        let mut spec = quiet(4);
-        if noisy {
-            spec.noise = NoiseSpec::default();
-        }
-        let drive = |c: &mut Cluster| drive_traffic_ring(c, 4, &msgs, &extra);
-        let serial = run_with_shards(spec.clone(), 1, drive);
-        for s in [2usize, 4] {
-            let sharded = run_with_shards(spec.clone(), s, drive);
-            prop_assert_eq!(serial, sharded, "shards={} diverged from serial", s);
-        }
-    }
-
-    /// Lossy links (drops, duplicates, delay spikes, retransmission timers)
-    /// under sharding: the per-connection fault PRNGs live in node state and
-    /// must advance identically inside shard windows.
-    #[test]
-    fn sharded_faulty_link_equivalent(
-        msgs in arb_message_bytes(),
-        seed in any::<u64>(),
-        drop_pct in 0u32..30,
-        dup_pct in 0u32..15,
-    ) {
-        let mut spec = quiet(2);
-        spec.fault_plan = FaultPlan::flaky_node(
-            seed,
-            1,
-            FaultSpec {
-                drop_prob: drop_pct as f64 / 100.0,
-                dup_prob: dup_pct as f64 / 100.0,
-                delay_prob: 0.1,
-                delay_ns: 150_000,
-                onset_ns: 0,
-                rto_ns: 2_000_000,
-            },
-        );
-        let drive = |c: &mut Cluster| drive_traffic(c, &msgs, &[]);
-        let serial = run_with_shards(spec.clone(), 1, drive);
-        let sharded = run_with_shards(spec, 2, drive);
-        prop_assert_eq!(serial, sharded, "sharded faulty-link run diverged");
-    }
-
-    /// Degraded nodes — CPU slowdown, late offlining, IRQ storms — sharded:
-    /// the degradation events fire inside one shard's windows and must not
-    /// disturb the other shard's timeline.
-    #[test]
-    fn sharded_degraded_equivalent(
-        progs in proptest::collection::vec(arb_local_program(), 1..4),
-        msgs in proptest::collection::vec(5_000u64..150_000, 0..3),
-        slowdown_pct in 100u32..250,
-        offline_ms in proptest::option::of(1u64..300),
-        storm in proptest::option::of((0u64..200, 1u64..200, 1u32..8)),
-    ) {
-        let mut spec = quiet(2);
-        spec.node_faults = vec![(
-            0,
-            DegradeSpec {
-                slowdown_pct,
-                slowdown_onset_ns: 20_000_000,
-                offline_cpu_at_ns: offline_ms.map(|ms| ms * 1_000_000),
-                irq_storm: storm.map(|(start_ms, len_ms, irqs_per_tick)| IrqStormSpec {
-                    start_ns: start_ms * 1_000_000,
-                    end_ns: (start_ms + len_ms) * 1_000_000,
-                    irqs_per_tick,
-                }),
-            },
-        )];
-        let drive = |c: &mut Cluster| drive_traffic(c, &msgs, &progs);
-        let serial = run_with_shards(spec.clone(), 1, drive);
-        let sharded = run_with_shards(spec, 2, drive);
-        prop_assert_eq!(serial, sharded, "sharded degraded-node run diverged");
-    }
-
-    /// Purely local programs on an unlinked 3-node cluster (no cross-node
-    /// connections): sharding takes the independent-shards fast path and
-    /// must still match the serial engine bit for bit.
-    #[test]
-    fn sharded_local_equivalent(
-        progs in proptest::collection::vec(arb_local_program(), 1..6),
-        noisy in any::<bool>(),
-    ) {
-        let mut spec = quiet(3);
-        if noisy {
-            spec.noise = NoiseSpec::default();
-        }
-        let drive = |c: &mut Cluster| {
-            for (i, ops) in progs.iter().enumerate() {
-                c.spawn(
-                    (i % 3) as u32,
-                    TaskSpec::app(format!("p{i}"), Box::new(OpList::new(ops.clone()))),
-                );
-            }
-            c.run_until_apps_exit(3_600 * NS_PER_SEC);
-        };
-        let serial = run_with_shards(spec.clone(), 1, drive);
-        for s in [2usize, 3] {
-            let sharded = run_with_shards(spec.clone(), s, drive);
-            prop_assert_eq!(serial, sharded, "unlinked shards={} diverged", s);
-        }
-    }
-
-    /// `run_for` windows (partition → windows → merge-back, three times in
-    /// one run) also reproduce the serial timeline exactly.
-    #[test]
-    fn sharded_run_for_equivalent(
-        msgs in proptest::collection::vec(5_000u64..200_000, 1..4),
-    ) {
-        let drive = |c: &mut Cluster| {
-            for (i, &bytes) in msgs.iter().enumerate() {
-                let conn = c.open_conn((i as u32) % 4, ((i as u32) + 1) % 4);
-                c.spawn(
-                    (i as u32) % 4,
-                    TaskSpec::app(
-                        format!("s{i}"),
-                        Box::new(OpList::new(vec![Op::Send { conn, bytes }])),
-                    ),
-                );
-                c.spawn(
-                    ((i as u32) + 1) % 4,
-                    TaskSpec::app(
-                        format!("r{i}"),
-                        Box::new(OpList::new(vec![Op::Recv { conn, bytes }])),
-                    ),
-                );
-            }
-            for _ in 0..3 {
-                c.run_for(40_000_000);
-            }
-        };
-        let serial = run_with_shards(quiet(4), 1, drive);
-        for s in [2usize, 4] {
-            let sharded = run_with_shards(quiet(4), s, drive);
-            prop_assert_eq!(serial, sharded, "run_for shards={} diverged", s);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot/fork determinism: capturing a cluster mid-run and resuming it must
 // be invisible — the resumed cluster's future is bit-identical to the
-// original's, under every engine generation, and a mid-run mutation applied
-// to a fork matches the same mutation applied to an uninterrupted run.
+// original's, under both engines, and a mid-run mutation applied to a fork
+// matches the same mutation applied to an uninterrupted run.
 // ---------------------------------------------------------------------------
 
-/// Boots the spec under engine generation `engine`
-/// (0 = dynticks, 1 = fast tick-lane, 2 = all-heap reference).
-fn boot_engine(spec: ClusterSpec, engine: u8) -> Cluster {
-    match engine {
-        0 => Cluster::new(spec),
-        1 => Cluster::new_fast_engine(spec),
-        _ => Cluster::new_reference_engine(spec),
+/// Boots the spec under the dynticks engine or the all-heap reference.
+fn boot_engine(spec: ClusterSpec, dynticks: bool) -> Cluster {
+    if dynticks {
+        Cluster::new(spec)
+    } else {
+        Cluster::new_reference_engine(spec)
     }
 }
 
@@ -434,14 +223,14 @@ fn setup_traffic(c: &mut Cluster, msgs: &[u64], extra: &[Vec<Op>]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Snapshot → resume round trip under all three engine generations,
+    /// Snapshot → resume round trip under both engines,
     /// with and without a lossy link: the resumed cluster reproduces the
     /// original's end time and full-state digest exactly.
     #[test]
     fn snapshot_resume_equivalent(
         msgs in arb_message_bytes(),
         extra in proptest::collection::vec(arb_local_program(), 0..3),
-        engine in 0u8..3,
+        dynticks in any::<bool>(),
         prefix_ms in 5u64..120,
         lossy in any::<bool>(),
         seed in any::<u64>(),
@@ -461,7 +250,7 @@ proptest! {
                 },
             );
         }
-        let mut original = boot_engine(spec, engine);
+        let mut original = boot_engine(spec, dynticks);
         setup_traffic(&mut original, &msgs, &extra);
         original.run_for(prefix_ms * 1_000_000);
         let snap = original.snapshot();
@@ -485,7 +274,7 @@ proptest! {
     #[test]
     fn forked_mutation_matches_cold_run(
         msgs in arb_message_bytes(),
-        engine in 0u8..3,
+        dynticks in any::<bool>(),
         prefix_ms in 5u64..80,
         seed in any::<u64>(),
         drop_pct in 0u32..25,
@@ -530,7 +319,7 @@ proptest! {
         let t_f = prefix_ms * 1_000_000;
 
         // Warm path: prefix once, snapshot, fork, mutate, run out.
-        let mut prefix = boot_engine(spec.clone(), engine);
+        let mut prefix = boot_engine(spec.clone(), dynticks);
         setup_traffic(&mut prefix, &msgs, &[]);
         prefix.run_for(t_f);
         let snap = prefix.snapshot();
@@ -541,7 +330,7 @@ proptest! {
 
         // Cold twin: uninterrupted run with the same mutation at the same
         // virtual time.
-        let mut cold = boot_engine(spec, engine);
+        let mut cold = boot_engine(spec, dynticks);
         setup_traffic(&mut cold, &msgs, &[]);
         cold.run_for(t_f);
         cold.install_fault_plan(plan);
@@ -556,74 +345,4 @@ proptest! {
         );
     }
 
-    /// A resumed cluster can continue on the sharded runner: resume,
-    /// request shards, and the end state still matches the original's
-    /// serial continuation.
-    #[test]
-    fn snapshot_resume_sharded_equivalent(
-        msgs in proptest::collection::vec(5_000u64..200_000, 1..4),
-        prefix_ms in 5u64..80,
-    ) {
-        let mut original = Cluster::new(quiet(2));
-        setup_traffic(&mut original, &msgs, &[]);
-        original.run_for(prefix_ms * 1_000_000);
-        let snap = original.snapshot();
-        let mut resumed = Cluster::resume(&snap).expect("resume failed");
-        resumed.set_shards(2);
-        original.run_until_apps_exit(600 * NS_PER_SEC);
-        resumed.run_until_apps_exit(600 * NS_PER_SEC);
-        prop_assert_eq!(resumed.now(), original.now());
-        prop_assert_eq!(
-            resumed.state_digest(),
-            original.state_digest(),
-            "sharded continuation of a resumed cluster diverged"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// KTAS image version compatibility: v1 images carry the dense pre-arena
-// measurement layout, v2 the compact arena one.  Both must reconstruct the
-// identical cluster, and their futures must match bit-for-bit.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn v1_dense_snapshot_images_still_resume() {
-    for engine in 0u8..3 {
-        let mut original = boot_engine(quiet(2), engine);
-        setup_traffic(
-            &mut original,
-            &[4 * 1024, 96 * 1024],
-            &[vec![Op::Compute(2_000_000), Op::SyscallNull]],
-        );
-        original.run_for(40 * 1_000_000);
-
-        let v2 = original.snapshot();
-        let v1 = original.snapshot_versioned(1);
-        assert_eq!(v1.digest(), v2.digest());
-        assert_eq!(v1.captured_at().unwrap(), v2.captured_at().unwrap());
-        // Same state, two encodings: the dense image is never smaller.
-        assert!(
-            v1.image().len() >= v2.image().len(),
-            "engine {engine}: dense v1 image ({}) smaller than compact v2 ({})",
-            v1.image().len(),
-            v2.image().len()
-        );
-
-        let mut from_v1 = Cluster::resume(&v1).expect("v1 resume failed");
-        let mut from_v2 = Cluster::resume(&v2).expect("v2 resume failed");
-        assert_eq!(from_v1.state_digest(), original.state_digest());
-        assert_eq!(from_v2.state_digest(), original.state_digest());
-
-        original.run_until_apps_exit(600 * NS_PER_SEC);
-        from_v1.run_until_apps_exit(600 * NS_PER_SEC);
-        from_v2.run_until_apps_exit(600 * NS_PER_SEC);
-        assert_eq!(from_v1.now(), original.now());
-        assert_eq!(
-            from_v1.state_digest(),
-            original.state_digest(),
-            "engine {engine}: v1-image future diverged"
-        );
-        assert_eq!(from_v2.state_digest(), original.state_digest());
-    }
 }

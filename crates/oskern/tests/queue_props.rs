@@ -159,7 +159,7 @@ fn check_script(ops: &[QOp], use_lanes: bool) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Lane-enabled queue (the fast engine's configuration).
+    /// Lane-enabled queue (the dynticks engine's configuration).
     #[test]
     fn queue_matches_heap_model_with_lanes(
         ops in proptest::collection::vec(arb_op(), 1..120)
