@@ -804,8 +804,9 @@ impl<'a> DeltaView<'a> {
 
 /// Magic bytes opening every binary-encoded profile delta.
 pub const DELTA_MAGIC: &[u8; 4] = b"KTAD";
-/// Delta format version.
-pub const DELTA_VERSION: u16 = 1;
+/// Delta format version.  Version 2 replaced version 1's FNV-1a check
+/// digest with [`crate::digest::content_check`]; version 1 is rejected.
+pub const DELTA_VERSION: u16 = 2;
 
 /// An index-based diff of one snapshot section: the rows whose content
 /// changed (or that are new) since the baseline, plus the section's new
@@ -824,8 +825,8 @@ pub struct SectionDelta<T> {
 /// An incremental update from one profile snapshot (`base_seq`) to the next
 /// (`seq`), as shipped by the KTAUD monitoring service to a subscribed
 /// client — the decoded form of a `KTAD` delta.  The `check` digest is
-/// FNV-1a over the *binary encoding of the full new snapshot*: applying a
-/// delta verifies it over the reconstruction, making
+/// [`crate::digest::content_check`] of the *binary encoding of the full new
+/// snapshot*: applying a delta verifies it over the reconstruction, making
 /// `apply(base, delta) == full` a checked invariant — a client can never
 /// silently drift from the server's view.
 #[derive(Debug, Clone, PartialEq)]
@@ -852,7 +853,7 @@ pub struct ProfileDelta {
     pub merged: SectionDelta<MergedRow>,
     /// Kernel wall-time row changes.
     pub kernel_wall: SectionDelta<(Option<String>, Ns)>,
-    /// FNV-1a digest of `encode_profile(full new snapshot)`.
+    /// `content_check` of `encode_profile(full new snapshot)`.
     pub check: u64,
 }
 
@@ -868,11 +869,9 @@ impl ProfileDelta {
     }
 }
 
-/// FNV-1a digest of a profile's binary encoding — the delta check value.
+/// The delta check value of a profile's binary encoding.
 fn check_digest(encoded: &[u8]) -> u64 {
-    let mut h = crate::digest::FNV_OFFSET;
-    crate::digest::fnv_bytes(&mut h, encoded);
-    h
+    crate::digest::content_check(encoded)
 }
 
 /// Computes the delta from `base` (sequence `base_seq`) to `new` (sequence
@@ -1369,6 +1368,14 @@ mod tests {
         assert_eq!(
             decode_delta(&encode_profile(&base)),
             Err(CodecError::BadMagic)
+        );
+        // A version 1 delta (FNV-1a check) is refused by both decoders.
+        let mut v1 = bytes.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(decode_delta(&v1), Err(CodecError::BadVersion(1)));
+        assert_eq!(
+            EncodedProfile::encode(&base).apply(&v1),
+            Err(CodecError::BadVersion(1))
         );
     }
 

@@ -6,7 +6,7 @@
 //! the struct diff and apply they replaced, kept here as the reference
 //! model.
 
-use ktau_core::digest::{fnv_bytes, FNV_OFFSET};
+use ktau_core::digest::content_check;
 use ktau_core::profile::{AtomicStats, EntryExitStats};
 use ktau_core::snapshot::{
     apply_delta, decode_delta, decode_profile, encode_delta, encode_profile, profile_delta,
@@ -375,9 +375,7 @@ fn ref_apply<T: Clone>(d: &SectionDelta<T>, base: &[T]) -> Result<Vec<T>, CodecE
 }
 
 fn check_digest(p: &ProfileSnapshot) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_bytes(&mut h, &encode_profile(p));
-    h
+    content_check(&encode_profile(p))
 }
 
 fn ref_profile_delta(

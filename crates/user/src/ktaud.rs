@@ -534,6 +534,19 @@ impl KtaudService {
         out
     }
 
+    /// Makes `client`'s next poll ship a full sync for one process, however
+    /// far its cursor is.  `poll` advances a cursor as it ships, so a
+    /// client whose mirror rejected a delta still holds the old baseline,
+    /// and every later delta targets a baseline it does not have; resyncing
+    /// is how it recovers.  A process the client never received is left
+    /// alone: its first poll full-syncs anyway.
+    pub fn resync(&mut self, client: ClientId, node: u32, pid: u32) {
+        if let Some(cur) = self.clients[client.0].cursors.get_mut(&(node, pid)) {
+            // Sequences start at 1: a cursor of 0 reads as first contact.
+            *cur = 0;
+        }
+    }
+
     /// Shipping accounting for one client.
     pub fn client_stats(&self, client: ClientId) -> ClientStats {
         self.clients[client.0].stats
@@ -575,7 +588,8 @@ impl KtaudMirror {
 
     /// Applies one shipped update.  Deltas verify their check digest; a
     /// delta arriving without (or against the wrong) baseline is an error,
-    /// never silent drift.
+    /// never silent drift, and leaves the stored profile as it was.  After
+    /// an error, [`KtaudService::resync`] the process before polling again.
     pub fn apply(&mut self, item: &PollItem) -> Result<(), KtauError> {
         let decode_err = |e: ktau_core::snapshot::CodecError| KtauError::Decode(e.to_string());
         match item {

@@ -6,7 +6,7 @@ use ktau_core::InstrumentationControl;
 use ktau_oskern::{
     Cluster, ClusterSpec, DegradeSpec, LoopProgram, NoiseSpec, Op, OpList, TaskSpec,
 };
-use ktau_user::ktaud::{KtaudMirror, KtaudService, PollItem, SubscriptionFilter};
+use ktau_user::ktaud::{ClientId, KtaudMirror, KtaudService, PollItem, SubscriptionFilter};
 use ktau_user::libktau::{ktau_reset_profile, AccessMode};
 use ktau_user::Ktaud;
 
@@ -118,6 +118,64 @@ fn cursor_gap_falls_back_to_full_sync() {
         items.iter().any(|i| matches!(i, PollItem::FullSync { .. })),
         "a gapped cursor must be healed by a full sync"
     );
+    mirror.apply_all(&items).unwrap();
+    assert_mirror_matches_server(&svc, &mirror);
+}
+
+/// Sweeps once and returns the one delta the next poll ships to `client`.
+fn sweep_for_delta(
+    svc: &mut KtaudService,
+    c: &mut Cluster,
+    client: ClientId,
+) -> (u32, u32, Vec<u8>) {
+    svc.sweep(c).unwrap();
+    match svc.poll(client).as_slice() {
+        [PollItem::Delta { node, pid, bytes }] => (*node, *pid, bytes.clone()),
+        other => panic!("expected one delta, got {other:?}"),
+    }
+}
+
+#[test]
+fn rejected_delta_is_healed_by_resync() {
+    // One routine per 100 ms sweep period: `setup`, then `solve` (a new
+    // user row), then `setup` again, so the second delta does not re-ship
+    // the row the first one appended.
+    let mut c = quiet(1);
+    let ops = OpList::new(vec![
+        Op::UserEnter("setup"),
+        Op::UserExit("setup"),
+        Op::Sleep(3 * PERIOD / 2),
+        Op::UserEnter("solve"),
+        Op::UserExit("solve"),
+        Op::Sleep(PERIOD),
+        Op::UserEnter("setup"),
+        Op::UserExit("setup"),
+        Op::Sleep(100 * PERIOD),
+    ]);
+    c.spawn(0, TaskSpec::app("rank", Box::new(ops)));
+    let mut svc = KtaudService::install(&mut c, &[0], PERIOD);
+    let client = svc.subscribe(SubscriptionFilter::apps_only());
+    svc.sweep(&mut c).unwrap();
+    let mut mirror = KtaudMirror::new();
+    mirror.apply_all(&svc.poll(client)).unwrap();
+
+    // One flipped bit in the check digest (the delta's last eight bytes):
+    // the apply fails and the mirror keeps its baseline byte for byte.
+    let (node, pid, mut bytes) = sweep_for_delta(&mut svc, &mut c, client);
+    *bytes.last_mut().unwrap() ^= 0x10;
+    let before = mirror.encoded(node, pid);
+    assert!(mirror.apply(&PollItem::Delta { node, pid, bytes }).is_err());
+    assert_eq!(mirror.encoded(node, pid), before);
+
+    // The server advanced the cursor when it shipped, so the next delta
+    // targets a baseline the mirror never reached and fails as well.
+    let (node, pid, bytes) = sweep_for_delta(&mut svc, &mut c, client);
+    assert!(mirror.apply(&PollItem::Delta { node, pid, bytes }).is_err());
+
+    // A resync ships the current profile whole.
+    svc.resync(client, node, pid);
+    let items = svc.poll(client);
+    assert!(matches!(items.as_slice(), [PollItem::FullSync { .. }]));
     mirror.apply_all(&items).unwrap();
     assert_mirror_matches_server(&svc, &mirror);
 }
