@@ -19,8 +19,9 @@
 //! events, < 70% of its total events, and produce an identical state digest;
 //! on the hz1000 config it must dispatch < 40% of the reference engine's
 //! total events (ticks dominate there) with an identical digest (digest
-//! equality is also asserted unconditionally — `--check` only adds the
-//! event-count gates and the report).
+//! equality is also asserted unconditionally — `--check` adds the
+//! event-count gates, the report, and the pin: both configs' digests must
+//! equal the `state_digest` values committed in `BENCH_engine.json`).
 //!
 //! A baseline measured on an older commit can be folded in via
 //! `KTAU_SEED_COMMIT` / `KTAU_SEED_WALL_S` (same workload, same machine), and
@@ -426,8 +427,8 @@ fn selfprof_pass() {
 
 /// `--check`: the committed artifact must be fully populated — a `null`
 /// where a regen step was skipped fails here, loudly, with the command
-/// that fills it.
-fn check_bench_fields() {
+/// that fills it.  Returns the parsed file.
+fn check_bench_fields() -> serde_json::Value {
     let text = std::fs::read_to_string("BENCH_engine.json")
         .expect("BENCH_engine.json missing; regenerate with: cargo run --release -p ktau-bench --bin perf_smoke");
     let doc: serde_json::Value =
@@ -469,6 +470,26 @@ fn check_bench_fields() {
         missing.join("\n")
     );
     eprintln!("[perf_smoke --check] BENCH_engine.json required fields all populated");
+    doc
+}
+
+/// `--check`: both engines' digests must equal the `state_digest` values
+/// committed in `BENCH_engine.json`, so a change to the simulated state, or
+/// to what the digest covers, fails until the file is regenerated.
+fn check_pinned_digests(doc: &serde_json::Value, cfg: &ConfigNumbers) {
+    let key = format!("hz{}", cfg.hz);
+    for (engine, got) in [
+        ("dynticks_engine", &cfg.dynticks_engine),
+        ("reference_engine", &cfg.reference_engine),
+    ] {
+        let pinned = doc.obj_get(&key).obj_get(engine).obj_get("state_digest");
+        assert!(
+            matches!(pinned, serde_json::Value::Str(s) if *s == got.state_digest),
+            "{key} {engine}: state digest {} differs from the committed {pinned:?} \
+             in BENCH_engine.json; regenerate with: cargo run --release -p ktau-bench --bin perf_smoke",
+            got.state_digest
+        );
+    }
 }
 
 fn main() {
@@ -477,12 +498,13 @@ fn main() {
         return;
     }
     let check = std::env::args().any(|a| a == "--check");
-    if check {
-        check_bench_fields();
-    }
+    let committed = check.then(check_bench_fields);
     let hz100 = measure_config(100);
     let hz1000 = measure_config(1000);
-    if check {
+    if let Some(doc) = &committed {
+        check_pinned_digests(doc, &hz100);
+        check_pinned_digests(doc, &hz1000);
+        eprintln!("[perf_smoke --check] state digests match BENCH_engine.json");
         let tick_pct = hz100.dynticks_engine.ticks_dispatched as f64
             / hz100.reference_engine.ticks_dispatched as f64;
         let total_pct = hz100.dynticks_engine.events_dispatched as f64

@@ -3,10 +3,13 @@
 //! The dynticks engine and the all-heap reference engine must leave the
 //! cluster in bit-identical externally-observable state for the same
 //! workload.  That property is enforced by folding all of it into one 64-bit
-//! FNV-1a hash: virtual time, per-task scheduler state, counters, and the
-//! full measurement structures.  The fold lives in `ktau-core` so the kernel
-//! model, the `KTAS` image check and any external consistency checker all
-//! hash the same way.
+//! FNV-1a hash: virtual time, per-CPU accounting, per-task scheduler state
+//! and counters, and the full measurement structures.  Tasks are hashed as
+//! the bytes the `KTAS` image codec writes for them (less the
+//! engine-dependent dirty generation), so the image and the digest share
+//! one encoder per field group.  The fold lives in `ktau-core` so the
+//! kernel model, the `KTAS` image check and any external consistency
+//! checker all hash the same way.
 //!
 //! `KTAD` deltas check the full profile they reconstruct once per shipped
 //! update, on the server and on every client, so they use
@@ -39,18 +42,6 @@ pub fn fnv_word(h: &mut u64, word: u64) {
 pub fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         fnv_byte(h, b);
-    }
-}
-
-/// A [`std::fmt::Write`] sink that folds everything written into a running
-/// FNV-1a hash: `write!(FnvWriter(&mut h), ..)` digests formatted text
-/// exactly as hashing the formatted `String` would, without building it.
-pub struct FnvWriter<'a>(pub &'a mut u64);
-
-impl std::fmt::Write for FnvWriter<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        fnv_bytes(self.0, s.as_bytes());
-        Ok(())
     }
 }
 
@@ -171,18 +162,6 @@ mod tests {
         fnv_word(&mut a, 0x0123_4567_89AB_CDEF);
         let mut b = FNV_OFFSET;
         fnv_bytes(&mut b, &0x0123_4567_89AB_CDEFu64.to_le_bytes());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn writer_matches_hashing_the_formatted_string() {
-        use std::fmt::Write;
-        let comm = "comm";
-        let text = format!("{comm}|{:?}", [1u64, 2]);
-        let mut a = FNV_OFFSET;
-        fnv_bytes(&mut a, text.as_bytes());
-        let mut b = FNV_OFFSET;
-        write!(FnvWriter(&mut b), "{comm}|{:?}", [1u64, 2]).unwrap();
         assert_eq!(a, b);
     }
 

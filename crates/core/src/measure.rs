@@ -34,14 +34,13 @@ pub type MergedKey = (Option<EventId>, EventId);
 /// (slot 0 is "no routine", slot `i + 1` is user event id `i`), with each
 /// row's recorded (kernel-event column → stats) cells stored as a
 /// column-sorted chain in one shared cell arena — O(cells actually touched)
-/// instead of the previous `Vec<Vec<MergedStats>>` whose every row was
-/// dense up to the largest kernel event id it saw.  The dense layout stays
-/// the *observable* shape: each row head records the length its old dense
-/// row would have, and `Debug` synthesizes the zero cells, so engine state
-/// digests are unchanged.
-#[derive(Clone, Default)]
+/// instead of a `Vec<Vec<MergedStats>>` whose every row is dense up to the
+/// largest kernel event id it saw.
+#[derive(Debug, Clone, Default)]
 pub struct MergedTable {
-    rows: Vec<MergedRowHead>,
+    /// Per row, the first cell of its column-sorted chain + 1 (`0` = empty
+    /// row).
+    rows: Vec<u32>,
     cells: Vec<MergedCell>,
     /// Direct-mapped `(row, col, cell + 1)` cache of recent
     /// [`MergedTable::cell_mut`] resolutions, indexed by the column's low
@@ -50,23 +49,15 @@ pub struct MergedTable {
     /// events alternate (the tick fold records an outer/inner pair every
     /// call), so a few ways keep the chain walk off the repeat-fire fast
     /// path.  Cells are never moved or removed, so a hit can only be exact
-    /// or miss — never stale.  Not part of the observable state: `Debug`,
-    /// codecs and comparisons ignore it.
+    /// or miss — never stale.  Not part of the observable state: the codec
+    /// ignores it.
     cache: [(u32, u32, u32); MERGED_CACHE_WAYS],
 }
 
 /// Ways in [`MergedTable`]'s direct-mapped cell cache.
 const MERGED_CACHE_WAYS: usize = 8;
 
-#[derive(Clone, Copy, Default)]
-struct MergedRowHead {
-    /// Length the old dense row would have (largest column touched + 1).
-    dense_len: u32,
-    /// First cell of the row's column-sorted chain + 1 (`0` = empty row).
-    head: u32,
-}
-
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct MergedCell {
     /// Kernel event id of this cell.
     col: u32,
@@ -93,46 +84,17 @@ impl<'a> Iterator for ChainCells<'a> {
     }
 }
 
-/// Synthesizes one row's old dense cells — recorded stats at their columns,
-/// defaults in the gaps — up to the row's dense length.
-struct DenseRow<'a> {
-    cells: &'a [MergedCell],
-    cur: u32,
-    next_col: u32,
-    len: u32,
-}
-
-impl Iterator for DenseRow<'_> {
-    type Item = MergedStats;
-    fn next(&mut self) -> Option<MergedStats> {
-        if self.next_col >= self.len {
-            return None;
-        }
-        let col = self.next_col;
-        self.next_col += 1;
-        if self.cur != 0 {
-            let cell = &self.cells[self.cur as usize - 1];
-            if cell.col == col {
-                self.cur = cell.next;
-                return Some(cell.stats);
-            }
-        }
-        Some(MergedStats::default())
-    }
-}
-
 impl MergedTable {
     #[inline]
     fn slot(user: Option<EventId>) -> usize {
         user.map_or(0, |id| id.index() + 1)
     }
 
-    fn dense_row(&self, row: &MergedRowHead) -> DenseRow<'_> {
-        DenseRow {
+    /// Walks the chain starting at `head` in ascending column order.
+    fn chain(&self, head: u32) -> ChainCells<'_> {
+        ChainCells {
             cells: &self.cells,
-            cur: row.head,
-            next_col: 0,
-            len: row.dense_len,
+            cur: head,
         }
     }
 
@@ -146,16 +108,14 @@ impl MergedTable {
         let way = c as usize & (MERGED_CACHE_WAYS - 1);
         let e = self.cache[way];
         if e.2 != 0 && e.0 == r as u32 && e.1 == c {
-            // Repeat fire of the same pair: the cached cell is exact
-            // (dense_len was already raised past `c` when it was created).
+            // Repeat fire of the same pair: the cached cell is exact.
             return &mut self.cells[e.2 as usize - 1].stats;
         }
         if self.rows.len() <= r {
-            self.rows.resize(r + 1, MergedRowHead::default());
+            self.rows.resize(r + 1, 0);
         }
-        self.rows[r].dense_len = self.rows[r].dense_len.max(c + 1);
         let mut prev = 0u32;
-        let mut cur = self.rows[r].head;
+        let mut cur = self.rows[r];
         while cur != 0 {
             let cell = self.cells[cur as usize - 1];
             if cell.col == c {
@@ -175,7 +135,7 @@ impl MergedTable {
         });
         let new = self.cells.len() as u32;
         if prev == 0 {
-            self.rows[r].head = new;
+            self.rows[r] = new;
         } else {
             self.cells[prev as usize - 1].next = new;
         }
@@ -194,46 +154,42 @@ impl MergedTable {
 
     /// The cell for `key`, if it was ever recorded.
     pub fn get(&self, key: MergedKey) -> Option<&MergedStats> {
-        let row = self.rows.get(Self::slot(key.0))?;
+        let &head = self.rows.get(Self::slot(key.0))?;
         let c = key.1.index() as u32;
-        ChainCells {
-            cells: &self.cells,
-            cur: row.head,
-        }
-        .take_while(|cell| cell.col <= c)
-        .find(|cell| cell.col == c)
-        .map(|cell| &cell.stats)
-        .filter(|s| s.count > 0)
+        self.chain(head)
+            .take_while(|cell| cell.col <= c)
+            .find(|cell| cell.col == c)
+            .map(|cell| &cell.stats)
+            .filter(|s| s.count > 0)
     }
 
     /// Iterates recorded `(key, stats)` cells in dense (user, kernel) order.
     pub fn iter(&self) -> impl Iterator<Item = (MergedKey, &MergedStats)> {
-        self.rows.iter().enumerate().flat_map(move |(r, row)| {
+        self.rows.iter().enumerate().flat_map(move |(r, &head)| {
             let user = (r > 0).then(|| EventId((r - 1) as u32));
-            ChainCells {
-                cells: &self.cells,
-                cur: row.head,
-            }
-            .filter(|cell| cell.stats.count > 0)
-            .map(move |cell| ((user, EventId(cell.col)), &cell.stats))
+            self.chain(head)
+                .filter(|cell| cell.stats.count > 0)
+                .map(move |cell| ((user, EventId(cell.col)), &cell.stats))
         })
     }
 
     /// Heap bytes held by the compact storage (row heads + cell arena).
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.rows.len() * size_of::<MergedRowHead>() + self.cells.len() * size_of::<MergedCell>()
+        self.rows.len() * size_of::<u32>() + self.cells.len() * size_of::<MergedCell>()
     }
 
     /// Heap bytes the pre-arena `Vec<Vec<MergedStats>>` layout would hold
-    /// for the same state: every row dense up to its largest column, plus
-    /// one inner-`Vec` header per row in the outer vector.
+    /// for the same state: every row dense up to its largest column (the
+    /// last of its sorted chain), plus one inner-`Vec` header per row in the
+    /// outer vector.
     pub fn dense_equivalent_bytes(&self) -> usize {
         use std::mem::size_of;
         self.rows
             .iter()
-            .map(|r| {
-                r.dense_len as usize * size_of::<MergedStats>() + size_of::<Vec<MergedStats>>()
+            .map(|&head| {
+                let cols = self.chain(head).last().map_or(0, |c| c.col as usize + 1);
+                cols * size_of::<MergedStats>() + size_of::<Vec<MergedStats>>()
             })
             .sum()
     }
@@ -245,23 +201,13 @@ impl MergedTable {
         self.cache = [(0, 0, 0); MERGED_CACHE_WAYS];
     }
 
-    /// Serializes the table for the KTAS engine image: per row, the dense
-    /// watermark plus only the recorded cells in column order.
+    /// Serializes the table for the KTAS engine image and the state digest:
+    /// per row, only the recorded cells in column order.
     pub fn encode_wire(&self, w: &mut Writer) {
         w.u32(self.rows.len() as u32);
-        for row in &self.rows {
-            w.u32(row.dense_len);
-            let n = ChainCells {
-                cells: &self.cells,
-                cur: row.head,
-            }
-            .count();
-            w.u32(n as u32);
-            let chain = ChainCells {
-                cells: &self.cells,
-                cur: row.head,
-            };
-            for cell in chain {
+        for &head in &self.rows {
+            w.u32(self.chain(head).count() as u32);
+            for cell in self.chain(head) {
                 w.u32(cell.col);
                 w.u64(cell.stats.count);
                 w.u64(cell.stats.ns);
@@ -269,25 +215,21 @@ impl MergedTable {
         }
     }
 
-    /// Inverse of [`MergedTable::encode_wire`].  Columns
-    /// must be strictly ascending and inside the row's dense watermark;
-    /// anything else is a corrupt image and fails loudly.
+    /// Inverse of [`MergedTable::encode_wire`].  Columns must be strictly
+    /// ascending and below [`crate::profile::MAX_EVENT_ID`]; anything else
+    /// is a corrupt image and fails loudly.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.counted(8, "merged row count")?;
+        let n = r.counted(4, "merged row count")?;
         let mut rows = Vec::with_capacity(n);
         let mut cells: Vec<MergedCell> = Vec::new();
         for _ in 0..n {
-            let dense_len = r.u32()?;
-            if dense_len > crate::profile::MAX_DENSE_LEN {
-                return Err(CodecError::Corrupt("merged row length"));
-            }
             let m = r.counted(20, "merged cell count")?;
             let mut head = 0u32;
             let mut tail = 0u32;
             let mut next_min = 0u32;
             for _ in 0..m {
                 let col = r.u32()?;
-                if col < next_min || col >= dense_len {
+                if col < next_min || col >= crate::profile::MAX_EVENT_ID {
                     return Err(CodecError::Corrupt("merged cell column"));
                 }
                 next_min = col + 1;
@@ -308,7 +250,7 @@ impl MergedTable {
                 }
                 tail = idx;
             }
-            rows.push(MergedRowHead { dense_len, head });
+            rows.push(head);
         }
         Ok(MergedTable {
             rows,
@@ -318,41 +260,13 @@ impl MergedTable {
     }
 }
 
-// Reproduces the derived `Debug` output of the old `Vec<Vec<MergedStats>>`
-// layout (state digests hash this text): rows printed dense up to their
-// watermark, untouched columns as default cells.
-impl std::fmt::Debug for MergedTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Row<'a>(&'a MergedTable, &'a MergedRowHead);
-        impl std::fmt::Debug for Row<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list().entries(self.0.dense_row(self.1)).finish()
-            }
-        }
-        struct Rows<'a>(&'a MergedTable);
-        impl std::fmt::Debug for Rows<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries(self.0.rows.iter().map(|r| Row(self.0, r)))
-                    .finish()
-            }
-        }
-        f.debug_struct("MergedTable")
-            .field("rows", &Rows(self))
-            .finish()
-    }
-}
-
 /// Non-overlapping kernel wall time per user-routine slot (same slot scheme
 /// as [`MergedTable`]).  Only slots ever recorded are stored — an entry's
 /// *presence* distinguishes "never recorded" from an accumulated zero, the
-/// distinction the old `Vec<Option<Ns>>` layout carried with a `None` per
-/// untouched slot.  The dense shape survives as a watermark for `Debug`
-/// synthesis.
-#[derive(Clone, Default)]
+/// distinction a dense `Vec<Option<Ns>>` carries with a `None` per
+/// untouched slot.
+#[derive(Debug, Clone, Default)]
 pub struct WallTable {
-    /// Length the old dense `Vec<Option<Ns>>` would have.
-    dense_len: u32,
     /// Slot ids ever recorded, ascending.  Parallel to [`WallTable::ns`]:
     /// two packed arrays keep an entry at 4 + 8 bytes where a
     /// `Vec<(u32, Ns)>` pads each pair to 16.
@@ -361,7 +275,7 @@ pub struct WallTable {
     ns: Vec<Ns>,
     /// Index of the last slot [`WallTable::add`] resolved; re-validated
     /// before use, so staleness after an insert only costs a re-search.
-    /// Not observable state: `Debug`, codecs and comparisons ignore it.
+    /// Not observable state: the codec ignores it.
     last_idx: u32,
 }
 
@@ -379,7 +293,6 @@ impl WallTable {
             self.ns[li] += ns;
             return;
         }
-        self.dense_len = self.dense_len.max(s + 1);
         match self.slots.binary_search(&s) {
             Ok(i) => {
                 self.ns[i] += ns;
@@ -393,14 +306,10 @@ impl WallTable {
         }
     }
 
-    #[inline]
-    fn slot_value(&self, s: u32) -> Option<Ns> {
-        self.slots.binary_search(&s).ok().map(|i| self.ns[i])
-    }
-
     /// Accumulated wall time under `user`, if ever recorded.
     pub fn get(&self, user: Option<EventId>) -> Option<Ns> {
-        self.slot_value(MergedTable::slot(user) as u32)
+        let s = MergedTable::slot(user) as u32;
+        self.slots.binary_search(&s).ok().map(|i| self.ns[i])
     }
 
     /// Iterates recorded `(user, ns)` entries in dense slot order.
@@ -416,22 +325,22 @@ impl WallTable {
         self.slots.len() * std::mem::size_of::<u32>() + self.ns.len() * std::mem::size_of::<Ns>()
     }
 
-    /// Heap bytes the pre-arena dense `Vec<Option<Ns>>` would hold.
+    /// Heap bytes the pre-arena dense `Vec<Option<Ns>>` would hold: one
+    /// entry per slot up to the last recorded.
     pub fn dense_equivalent_bytes(&self) -> usize {
-        self.dense_len as usize * std::mem::size_of::<Option<Ns>>()
+        let len = self.slots.last().map_or(0, |&s| s as usize + 1);
+        len * std::mem::size_of::<Option<Ns>>()
     }
 
     /// Discards all entries.
     pub fn clear(&mut self) {
-        self.dense_len = 0;
         self.slots.clear();
         self.ns.clear();
     }
 
-    /// Serializes for the KTAS engine image: the dense watermark plus only
-    /// the recorded slots in ascending order.
+    /// Serializes for the KTAS engine image and the state digest: the
+    /// recorded slots in ascending order.
     pub fn encode_wire(&self, w: &mut Writer) {
-        w.u32(self.dense_len);
         w.u32(self.slots.len() as u32);
         for (&s, &ns) in self.slots.iter().zip(&self.ns) {
             w.u32(s);
@@ -439,20 +348,17 @@ impl WallTable {
         }
     }
 
-    /// Inverse of [`WallTable::encode_wire`].  Slots must
-    /// be strictly ascending and inside the dense watermark.
+    /// Inverse of [`WallTable::encode_wire`].  Slots must be strictly
+    /// ascending and at most [`crate::profile::MAX_EVENT_ID`] (slot `i + 1`
+    /// holds user event `i`).
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let dense_len = r.u32()?;
-        if dense_len > crate::profile::MAX_DENSE_LEN {
-            return Err(CodecError::Corrupt("wall dense length"));
-        }
         let n = r.counted(12, "wall slot count")?;
         let mut slots = Vec::with_capacity(n);
         let mut ns = Vec::with_capacity(n);
         let mut next_min = 0u32;
         for _ in 0..n {
             let s = r.u32()?;
-            if s < next_min || s >= dense_len {
+            if s < next_min || s > crate::profile::MAX_EVENT_ID {
                 return Err(CodecError::Corrupt("wall slot id"));
             }
             next_min = s + 1;
@@ -460,7 +366,6 @@ impl WallTable {
             ns.push(r.u64()?);
         }
         Ok(WallTable {
-            dense_len,
             slots,
             ns,
             last_idx: 0,
@@ -468,27 +373,8 @@ impl WallTable {
     }
 }
 
-// Reproduces the derived `Debug` output of the old `Vec<Option<Ns>>` layout
-// (state digests hash this text): all slots up to the watermark, untouched
-// ones as `None`.
-impl std::fmt::Debug for WallTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Slots<'a>(&'a WallTable);
-        impl std::fmt::Debug for Slots<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries((0..self.0.dense_len).map(|s| self.0.slot_value(s)))
-                    .finish()
-            }
-        }
-        f.debug_struct("WallTable")
-            .field("slots", &Slots(self))
-            .finish()
-    }
-}
-
 /// Measurement state attached to each task's process control block.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TaskMeasurement {
     /// Kernel-mode profile (KTAU).
     pub kernel: Profile,
@@ -511,23 +397,9 @@ pub struct TaskMeasurement {
     /// last observed to skip unchanged profiles without capturing them.
     /// Engine-dependent (the dynticks fold bumps once per batch where the
     /// reference engine bumps per tick), so it is deliberately excluded from
-    /// the cross-engine state digest via the manual [`std::fmt::Debug`] impl.
+    /// the cross-engine state digest (see
+    /// [`TaskMeasurement::encode_observable`]).
     gen: u64,
-}
-
-// Reproduces the derived `Debug` output for the pre-`gen` field set:
-// `Cluster::state_digest` hashes this text, and the digest must stay
-// engine-independent while `gen` is not.
-impl std::fmt::Debug for TaskMeasurement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskMeasurement")
-            .field("kernel", &self.kernel)
-            .field("user", &self.user)
-            .field("trace", &self.trace)
-            .field("merged", &self.merged)
-            .field("wall", &self.wall)
-            .finish()
-    }
 }
 
 impl TaskMeasurement {
@@ -607,12 +479,16 @@ impl TaskMeasurement {
                 .map_or(0, |t| t.capacity() * std::mem::size_of::<TraceRecord>())
     }
 
-    /// Serializes complete measurement state — both profiles, the trace
-    /// buffer, merged/wall tables, and the dirty generation — for the
-    /// engine snapshot image.
-    pub fn encode_wire(&self, w: &mut Writer) {
+    /// Serializes the observable measurement state, which is all of it
+    /// except the engine-dependent generation, in five sections: kernel
+    /// profile, user profile, trace buffer, merged table, wall table.
+    /// Engine state digests hash these bytes.  `end` is called with the
+    /// writer after each section, so a caller can find where sections end.
+    pub fn encode_observable(&self, w: &mut Writer, mut end: impl FnMut(&Writer)) {
         self.kernel.encode_wire(w);
+        end(w);
         self.user.encode_wire(w);
+        end(w);
         match &self.trace {
             None => w.u8(0),
             Some(t) => {
@@ -620,8 +496,17 @@ impl TaskMeasurement {
                 t.encode_wire(w);
             }
         }
+        end(w);
         self.merged.encode_wire(w);
+        end(w);
         self.wall.encode_wire(w);
+        end(w);
+    }
+
+    /// Serializes complete measurement state for the engine snapshot image:
+    /// the observable sections, then the dirty generation.
+    pub fn encode_wire(&self, w: &mut Writer) {
+        self.encode_observable(w, |_| {});
         w.u64(self.gen);
     }
 
@@ -1165,18 +1050,56 @@ mod tests {
         assert!(m.generation() > g1, "the dynticks fold must mark dirty");
     }
 
-    #[test]
-    fn debug_format_excludes_generation() {
-        // The cross-engine state digest hashes `{:?}` of this struct; the
-        // engine-dependent generation must be invisible to it.
-        let mut m = TaskMeasurement::profiling();
-        let before = format!("{m:?}");
-        m.mark_dirty();
-        assert_eq!(before, format!("{m:?}"));
+    fn observable(m: &TaskMeasurement) -> Vec<u8> {
+        let mut w = Writer::new();
+        m.encode_observable(&mut w, |_| {});
+        w.into_vec()
     }
 
     #[test]
-    fn measurement_wire_roundtrip_preserves_debug() {
+    fn observable_bytes_exclude_generation() {
+        // The cross-engine state digest hashes these bytes; the
+        // engine-dependent generation must be invisible to them.
+        let mut m = TaskMeasurement::profiling();
+        let before = observable(&m);
+        m.mark_dirty();
+        assert_eq!(before, observable(&m));
+        // The image keeps it.
+        let mut w = Writer::new();
+        m.encode_wire(&mut w);
+        assert_eq!(w.as_slice()[before.len()..], 1u64.to_le_bytes());
+    }
+
+    #[test]
+    fn observable_bytes_ignore_first_fire_order_and_generation() {
+        // The same state reached with events first fired in opposite
+        // orders, so every arena holds its slots in a different order.
+        let fill = |order: &[u32]| {
+            let eng = ProbeEngine::prof_all();
+            let mut m = TaskMeasurement::profiling();
+            for &e in order {
+                m.kernel.record_repeat(ev(e), 10 * e as u64, e as u64, 2);
+                m.kernel.atomic(ev(e), e as u64);
+                m.user.add_interval(ev(e), 5);
+                m.merged.add_n((Some(ev(e % 3)), ev(e)), 7, 3);
+                m.merged.add_n((None, ev(e)), 1, 1);
+                m.wall.add(Some(ev(e)), 11);
+                eng.kernel_interval(&mut m, ev(30), Group::Scheduler, 4, 0);
+            }
+            m
+        };
+        let a = fill(&[1, 4, 9, 2]);
+        let mut b = fill(&[9, 2, 4, 1]);
+        for _ in 0..5 {
+            b.mark_dirty();
+        }
+        assert_ne!(format!("{a:?}"), format!("{b:?}"), "layouts should differ");
+        assert_ne!(a.generation(), b.generation());
+        assert_eq!(observable(&a), observable(&b));
+    }
+
+    #[test]
+    fn measurement_wire_roundtrip_is_canonical() {
         let eng = ProbeEngine::prof_all();
         let mut m = TaskMeasurement::profiling();
         // Touch columns out of order so chains must sort, leave a kernel
@@ -1189,16 +1112,32 @@ mod tests {
         eng.kernel_atomic(&mut m, ev(9), Group::Tcp, 1460, 95);
         eng.user_exit(&mut m, ev(40), Group::User, 100);
         eng.kernel_entry(&mut m, ev(5), Group::Irq, 110); // stays live
-        let before = format!("{m:?}");
 
         let mut w = Writer::new();
         m.encode_wire(&mut w);
         let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
-        let d = TaskMeasurement::decode_wire(&mut r).unwrap();
+        let mut d = TaskMeasurement::decode_wire(&mut r).unwrap();
         r.expect_end().unwrap();
-        assert_eq!(format!("{d:?}"), before);
+        let mut w = Writer::new();
+        d.encode_wire(&mut w);
+        assert_eq!(w.as_slice(), &bytes[..]);
         assert_eq!(d.generation(), m.generation());
+        for user in [None, Some(ev(40))] {
+            assert_eq!(d.wall.get(user), m.wall.get(user));
+            for k in 0..12 {
+                assert_eq!(d.merged_stats(user, ev(k)), m.merged_stats(user, ev(k)));
+            }
+        }
+        for k in 0..12 {
+            assert_eq!(d.kernel.entry_stats(ev(k)), m.kernel.entry_stats(ev(k)));
+            assert_eq!(d.kernel.atomic_stats(ev(k)), m.kernel.atomic_stats(ev(k)));
+        }
+        assert_eq!(d.user.entry_stats(ev(40)), m.user.entry_stats(ev(40)));
+        // The live kernel frame closes the same way in both.
+        eng.kernel_exit(&mut d, ev(5), Group::Irq, 200);
+        eng.kernel_exit(&mut m, ev(5), Group::Irq, 200);
+        assert_eq!(observable(&d), observable(&m));
     }
 
     #[test]
@@ -1221,72 +1160,60 @@ mod tests {
 
     #[test]
     fn hostile_merged_and_wall_counts_fail_loudly() {
+        use crate::profile::MAX_EVENT_ID;
+        let merged = |w: Writer| MergedTable::decode_wire(&mut Reader::new(&w.into_vec()));
+        let wall = |w: Writer| WallTable::decode_wire(&mut Reader::new(&w.into_vec()));
         // Merged image claiming u32::MAX rows in a tiny input.
         let mut w = Writer::new();
         w.u32(u32::MAX);
         w.u32(0);
-        let bytes = w.into_vec();
         assert!(matches!(
-            MergedTable::decode_wire(&mut Reader::new(&bytes)),
+            merged(w),
             Err(CodecError::Corrupt("merged row count"))
-        ));
-        // Merged image with one row claiming an absurd dense length.
-        let mut w = Writer::new();
-        w.u32(1);
-        w.u32(1 << 30);
-        w.u32(0);
-        let bytes = w.into_vec();
-        assert!(matches!(
-            MergedTable::decode_wire(&mut Reader::new(&bytes)),
-            Err(CodecError::Corrupt("merged row length"))
         ));
         // Merged image with one row claiming more cells than bytes remain.
         let mut w = Writer::new();
         w.u32(1);
-        w.u32(4);
         w.u32(1 << 20);
         w.u64(0);
-        let bytes = w.into_vec();
         assert!(matches!(
-            MergedTable::decode_wire(&mut Reader::new(&bytes)),
+            merged(w),
             Err(CodecError::Corrupt("merged cell count"))
         ));
-        // Merged image with a cell column outside its dense row.
-        let mut w = Writer::new();
-        w.u32(1); // one row
-        w.u32(2); // dense_len 2
-        w.u32(1); // one cell
-        w.u32(7); // column 7 >= dense_len
-        w.u64(1);
-        w.u64(5);
-        let bytes = w.into_vec();
-        assert!(matches!(
-            MergedTable::decode_wire(&mut Reader::new(&bytes)),
-            Err(CodecError::Corrupt("merged cell column"))
-        ));
+        // Merged cells whose columns reach the id cap or go backwards.
+        for cols in [&[MAX_EVENT_ID][..], &[7, 3]] {
+            let mut w = Writer::new();
+            w.u32(1); // one row
+            w.u32(cols.len() as u32);
+            for &c in cols {
+                w.u32(c);
+                w.u64(1);
+                w.u64(5);
+            }
+            assert!(matches!(
+                merged(w),
+                Err(CodecError::Corrupt("merged cell column"))
+            ));
+        }
         // Wall image claiming more slots than bytes remain.
         let mut w = Writer::new();
-        w.u32(4);
         w.u32(1 << 20);
         w.u8(0);
-        let bytes = w.into_vec();
         assert!(matches!(
-            WallTable::decode_wire(&mut Reader::new(&bytes)),
+            wall(w),
             Err(CodecError::Corrupt("wall slot count"))
         ));
-        // Wall image with out-of-order slots.
-        let mut w = Writer::new();
-        w.u32(4); // dense_len
-        w.u32(2); // two entries
-        w.u32(2);
-        w.u64(10);
-        w.u32(1); // slot goes backwards
-        w.u64(20);
-        let bytes = w.into_vec();
-        assert!(matches!(
-            WallTable::decode_wire(&mut Reader::new(&bytes)),
-            Err(CodecError::Corrupt("wall slot id"))
-        ));
+        // Wall slots past the id cap (slot `i + 1` holds user event `i`)
+        // or going backwards.
+        for slots in [&[MAX_EVENT_ID + 1][..], &[2, 1]] {
+            let mut w = Writer::new();
+            w.u32(slots.len() as u32);
+            for &s in slots {
+                w.u32(s);
+                w.u64(10);
+            }
+            assert!(matches!(wall(w), Err(CodecError::Corrupt("wall slot id"))));
+        }
     }
 
     #[test]
@@ -1296,8 +1223,18 @@ mod tests {
         assert_eq!(wt.get(Some(ev(2))), Some(0));
         assert_eq!(wt.get(Some(ev(1))), None);
         assert_eq!(wt.get(None), None);
-        let dbg = format!("{wt:?}");
-        assert!(dbg.contains("[None, None, None, Some(0)]"), "{dbg}");
+        // The image records the zero under slot 3 and nothing else, and
+        // decodes back to the same distinction.
+        let mut w = Writer::new();
+        wt.encode_wire(&mut w);
+        let mut want = Writer::new();
+        want.u32(1);
+        want.u32(3);
+        want.u64(0);
+        assert_eq!(w.as_slice(), want.as_slice());
+        let d = WallTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        assert_eq!(d.get(Some(ev(2))), Some(0));
+        assert_eq!(d.get(Some(ev(1))), None);
     }
 
     #[test]

@@ -129,12 +129,7 @@ impl AtomicStats {
 }
 
 /// One frame of the activation (instrumentation) stack.
-///
-/// `Debug` is implemented manually (printing exactly the five observable
-/// fields, in declaration order, as the pre-`slot` derive did): the stack
-/// is part of [`Profile`]'s `Debug` output, which engine state digests
-/// hash, so the cached slot must stay invisible to it.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Activation {
     event: EventId,
     /// Entry-arena slot of `event`, resolved once by the entry probe so the
@@ -151,18 +146,6 @@ struct Activation {
     interval_ns: Ns,
     /// Whether an activation of the same event was already on the stack.
     recursive: bool,
-}
-
-impl std::fmt::Debug for Activation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Activation")
-            .field("event", &self.event)
-            .field("entry_ns", &self.entry_ns)
-            .field("child_ns", &self.child_ns)
-            .field("interval_ns", &self.interval_ns)
-            .field("recursive", &self.recursive)
-            .finish()
-    }
 }
 
 /// Result of closing an activation.
@@ -222,15 +205,14 @@ impl std::error::Error for ProfileError {}
 /// assert_eq!(outer.incl_ns, 1_000);
 /// assert_eq!(outer.excl_ns, 700);  // child time carved out
 /// ```
-/// Storage is *lazy* (PR 9): statistics live in compact slot arenas
-/// allocated on an event's first fire, with a dense `u32` index translating
-/// event ids to slots — O(ids touched × 4 bytes + slots fired × 44 bytes)
-/// instead of the previous O(max id × 44 bytes) dense vectors.  The dense
-/// layout remains the *observable* shape: `entries_len`/`active_len`/
-/// `atomics_len` record the lengths the old vectors would have, and the
-/// manual [`std::fmt::Debug`] impl synthesizes default cells for
-/// unallocated ids, so engine state digests are identical to the dense era.
-#[derive(Clone, Default)]
+/// Storage is *lazy*: statistics live in compact slot arenas allocated on
+/// an event's first fire, with a dense `u32` index translating event ids to
+/// slots — O(ids touched × 4 bytes + slots fired × 44 bytes) instead of
+/// O(max id × 44 bytes) dense vectors.  The `KTAS` encoding
+/// ([`Profile::encode_wire`]) lists the allocated slots by ascending event
+/// id, so it does not depend on the order slots were first fired in; state
+/// digests hash that encoding.
+#[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Event index → entry-slot index + 1 (`0` = never fired).
     entry_idx: Vec<u32>,
@@ -245,20 +227,12 @@ pub struct Profile {
     atomic_idx: Vec<u32>,
     atomic_slots: Vec<AtomicStats>,
     stack: Vec<Activation>,
-    /// Dense length the old layout's `entries` vector would have (largest
-    /// event id touched + 1) — the `Debug` synthesis bound.
-    entries_len: u32,
-    /// Dense length of the old `active` vector.  Tracks `entries_len`
-    /// except across [`Profile::absorb`], which only extended `entries`.
-    active_len: u32,
-    /// Dense length of the old `atomics` vector.
-    atomics_len: u32,
 }
 
-/// Dense watermarks beyond this are structurally impossible for real
-/// profiles (event ids are handed out densely by the registry) — the
-/// decoders reject larger values before synthesizing anything from them.
-pub(crate) const MAX_DENSE_LEN: u32 = 1 << 20;
+/// Event ids at or above this are structurally impossible for real
+/// profiles (the registry hands ids out densely), and an id sizes the
+/// index a decoder allocates — so the decoders reject them.
+pub(crate) const MAX_EVENT_ID: u32 = 1 << 20;
 
 /// Slot-arena lookup shared by the entry and atomic tables: maps event
 /// index `i` to its slot, allocating a default slot on first touch.
@@ -296,28 +270,20 @@ impl Profile {
         Self::default()
     }
 
-    /// Probe-path slot lookup: allocates on first fire and advances both
-    /// dense watermarks, exactly as the old `ensure_entry` grew both the
-    /// `entries` and `active` vectors together.
+    /// Probe-path slot lookup: allocates on first fire.
     #[inline]
     fn ensure_entry(&mut self, id: EventId) -> usize {
-        let i = id.index();
-        let s = alloc_entry(
+        alloc_entry(
             &mut self.entry_idx,
             &mut self.entry_slots,
             &mut self.entry_active,
-            i,
-        );
-        self.entries_len = self.entries_len.max(i as u32 + 1);
-        self.active_len = self.active_len.max(i as u32 + 1);
-        s
+            id.index(),
+        )
     }
 
     #[inline]
     fn ensure_atomic(&mut self, id: EventId) -> &mut AtomicStats {
-        let i = id.index();
-        let s = alloc_slot(&mut self.atomic_idx, &mut self.atomic_slots, i);
-        self.atomics_len = self.atomics_len.max(i as u32 + 1);
+        let s = alloc_slot(&mut self.atomic_idx, &mut self.atomic_slots, id.index());
         &mut self.atomic_slots[s]
     }
 
@@ -325,14 +291,6 @@ impl Profile {
     fn entry_pos(&self, i: usize) -> Option<usize> {
         match self.entry_idx.get(i) {
             Some(&s) if s != 0 => Some(s as usize - 1),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn atomic_slot(&self, i: usize) -> Option<&AtomicStats> {
-        match self.atomic_idx.get(i) {
-            Some(&s) if s != 0 => Some(&self.atomic_slots[s as usize - 1]),
             _ => None,
         }
     }
@@ -350,12 +308,12 @@ impl Profile {
     }
 
     /// Heap bytes the pre-arena dense layout would hold for the same state:
-    /// one stats row per event id up to the largest touched, fired or not.
+    /// one stats row and one recursion counter per event id up to the
+    /// largest touched, fired or not (the index maps span exactly that).
     pub fn dense_equivalent_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.entries_len as usize * size_of::<EntryExitStats>()
-            + self.active_len as usize * size_of::<u32>()
-            + self.atomics_len as usize * size_of::<AtomicStats>()
+        self.entry_idx.len() * (size_of::<EntryExitStats>() + size_of::<u32>())
+            + self.atomic_idx.len() * size_of::<AtomicStats>()
             + self.stack.len() * size_of::<Activation>()
     }
 
@@ -396,7 +354,7 @@ impl Profile {
         let excl = incl.saturating_sub(top.child_ns);
         // The entry probe resolved (and if needed allocated) the slot; the
         // exit probe reuses it from the frame instead of repeating the
-        // id→slot lookup and watermark updates.
+        // id→slot lookup.
         let s = top.slot as usize;
         self.entry_active[s] -= 1;
         self.entry_slots[s].record(incl, excl, !top.recursive);
@@ -499,7 +457,10 @@ impl Profile {
 
     /// Atomic stats for an event (default if never fired).
     pub fn atomic_stats(&self, event: EventId) -> AtomicStats {
-        self.atomic_slot(event.index()).copied().unwrap_or_default()
+        match self.atomic_idx.get(event.index()) {
+            Some(&s) if s != 0 => self.atomic_slots[s as usize - 1],
+            _ => AtomicStats::default(),
+        }
     }
 
     /// Iterates `(EventId, stats)` for events with at least one completion.
@@ -532,11 +493,6 @@ impl Profile {
     /// aggregation).  Activation stacks are not merged; both profiles should
     /// be quiescent or the in-flight activations are simply ignored.
     pub fn absorb(&mut self, other: &Profile) {
-        // The old dense absorb resized `entries`/`atomics` (but not
-        // `active`) to the other profile's length before merging; only the
-        // watermarks move here, cells stay lazy.
-        self.entries_len = self.entries_len.max(other.entries_len);
-        self.atomics_len = self.atomics_len.max(other.atomics_len);
         for (i, &s) in other.entry_idx.iter().enumerate() {
             if s == 0 {
                 continue;
@@ -601,7 +557,7 @@ impl Profile {
         for _ in 0..n {
             let event = r.u32()?;
             // Rebinding allocates an index entry up to the event id.
-            if event >= MAX_DENSE_LEN {
+            if event >= MAX_EVENT_ID {
                 return Err(CodecError::Corrupt("activation event id"));
             }
             stack.push(Activation {
@@ -620,7 +576,7 @@ impl Profile {
     /// slot is not serialized — it is an index into in-memory arenas the
     /// codec rebuilds in its own order).  A live frame's event normally has
     /// a slot already, via its non-zero recursion counter; allocating here
-    /// covers images that lost that invariant, without moving watermarks.
+    /// covers images that lost that invariant.
     fn rebind_stack_slots(&mut self) {
         for i in 0..self.stack.len() {
             let ev = self.stack[i].event;
@@ -634,12 +590,10 @@ impl Profile {
     }
 
     /// Serializes complete profile state — statistics, the live activation
-    /// stack, and recursion counters — for the KTAS engine image: dense
-    /// watermarks plus only the allocated slots, keyed by event id in
+    /// stack, and recursion counters — for the KTAS engine image and the
+    /// state digest: only the allocated slots, keyed by event id in
     /// ascending order.
     pub fn encode_wire(&self, w: &mut Writer) {
-        w.u32(self.entries_len);
-        w.u32(self.active_len);
         let live = self.entry_idx.iter().filter(|&&s| s != 0).count();
         w.u32(live as u32);
         for (i, &s) in self.entry_idx.iter().enumerate() {
@@ -655,7 +609,6 @@ impl Profile {
             w.u64(st.max_incl_ns);
             w.u32(self.entry_active[s as usize - 1]);
         }
-        w.u32(self.atomics_len);
         let live = self.atomic_idx.iter().filter(|&&s| s != 0).count();
         w.u32(live as u32);
         for (i, &s) in self.atomic_idx.iter().enumerate() {
@@ -672,16 +625,10 @@ impl Profile {
         self.encode_stack(w);
     }
 
-    /// Inverse of [`Profile::encode_wire`].  Slot ids must
-    /// be strictly ascending and inside the dense watermarks; anything else
-    /// is a corrupt image and fails loudly.
+    /// Inverse of [`Profile::encode_wire`].  Slot ids must be strictly
+    /// ascending and below [`MAX_EVENT_ID`]; anything else is a corrupt
+    /// image and fails loudly.
     pub fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let entries_len = r.u32()?;
-        let active_len = r.u32()?;
-        if entries_len.max(active_len) > MAX_DENSE_LEN {
-            return Err(CodecError::Corrupt("profile dense length"));
-        }
-        let dense_cap = entries_len.max(active_len);
         let mut entry_idx = Vec::new();
         let mut entry_slots: Vec<EntryExitStats> = Vec::new();
         let mut entry_active: Vec<u32> = Vec::new();
@@ -689,7 +636,7 @@ impl Profile {
         let mut next_min = 0u32;
         for _ in 0..n {
             let id = r.u32()?;
-            if id < next_min || id >= dense_cap {
+            if id < next_min || id >= MAX_EVENT_ID {
                 return Err(CodecError::Corrupt("profile slot id"));
             }
             next_min = id + 1;
@@ -710,17 +657,13 @@ impl Profile {
             entry_slots[s] = stats;
             entry_active[s] = active;
         }
-        let atomics_len = r.u32()?;
-        if atomics_len > MAX_DENSE_LEN {
-            return Err(CodecError::Corrupt("profile atomic dense length"));
-        }
         let mut atomic_idx = Vec::new();
         let mut atomic_slots: Vec<AtomicStats> = Vec::new();
         let n = r.counted(36, "profile atomic slot count")?;
         let mut next_min = 0u32;
         for _ in 0..n {
             let id = r.u32()?;
-            if id < next_min || id >= atomics_len {
+            if id < next_min || id >= MAX_EVENT_ID {
                 return Err(CodecError::Corrupt("profile atomic slot id"));
             }
             next_min = id + 1;
@@ -741,63 +684,9 @@ impl Profile {
             atomic_idx,
             atomic_slots,
             stack,
-            entries_len,
-            active_len,
-            atomics_len,
         };
         p.rebind_stack_slots();
         Ok(p)
-    }
-}
-
-// Reproduces the derived `Debug` output of the old dense layout:
-// `Cluster::state_digest` hashes this text, so the arena representation
-// must be invisible to it.  Event ids below the dense watermarks that never
-// allocated a slot print as default cells, exactly as the old zero-filled
-// vectors did.
-impl std::fmt::Debug for Profile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Entries<'a>(&'a Profile);
-        impl std::fmt::Debug for Entries<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries((0..self.0.entries_len as usize).map(|i| {
-                        self.0
-                            .entry_pos(i)
-                            .map(|s| self.0.entry_slots[s])
-                            .unwrap_or_default()
-                    }))
-                    .finish()
-            }
-        }
-        struct Atomics<'a>(&'a Profile);
-        impl std::fmt::Debug for Atomics<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries(
-                        (0..self.0.atomics_len as usize)
-                            .map(|i| self.0.atomic_slot(i).copied().unwrap_or_default()),
-                    )
-                    .finish()
-            }
-        }
-        struct Active<'a>(&'a Profile);
-        impl std::fmt::Debug for Active<'_> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_list()
-                    .entries(
-                        (0..self.0.active_len as usize)
-                            .map(|i| self.0.entry_pos(i).map_or(0, |s| self.0.entry_active[s])),
-                    )
-                    .finish()
-            }
-        }
-        f.debug_struct("Profile")
-            .field("entries", &Entries(self))
-            .field("atomics", &Atomics(self))
-            .field("stack", &self.stack)
-            .field("active", &Active(self))
-            .finish()
     }
 }
 
@@ -957,22 +846,32 @@ mod tests {
         assert_eq!(p.top(), Some(ev(7)));
     }
 
+    fn wire(p: &Profile) -> Vec<u8> {
+        let mut w = Writer::new();
+        p.encode_wire(&mut w);
+        w.into_vec()
+    }
+
     #[test]
     fn lazy_slots_beat_dense_layout_for_sparse_high_ids() {
         let mut p = Profile::new();
-        // One routine with a large event id: the old layout allocated 44
+        // One routine with a large event id: the dense layout allocated 44
         // bytes for every id below it.
         p.start(ev(500), 0);
         p.stop(ev(500), 100).unwrap();
         assert!(p.bytes() * 3 <= p.dense_equivalent_bytes());
-        // The dense shape is still what Debug reports.
-        let dbg = format!("{p:?}");
-        assert!(dbg.contains("count: 1"));
-        assert_eq!(dbg.matches("count: 0").count(), 500);
+        use std::mem::size_of;
+        assert_eq!(
+            p.dense_equivalent_bytes(),
+            501 * (size_of::<EntryExitStats>() + size_of::<u32>())
+        );
+        // The image holds the one fired slot: slot count, the slot, an
+        // empty atomic table and an empty stack.
+        assert_eq!(wire(&p).len(), 4 + 48 + 4 + 4);
     }
 
     #[test]
-    fn wire_roundtrip_preserves_debug() {
+    fn wire_roundtrip_is_canonical() {
         let mut p = Profile::new();
         p.start(ev(3), 0);
         p.start(ev(3), 5); // recursive, stays live
@@ -980,15 +879,23 @@ mod tests {
         p.stop(ev(7), 40).unwrap();
         p.atomic(ev(12), 1460);
         p.add_interval(ev(1), 250);
-        let before = format!("{p:?}");
+        let bytes = wire(&p);
 
-        let mut w = crate::wire::Writer::new();
-        p.encode_wire(&mut w);
-        let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
-        let c = Profile::decode_wire(&mut r).unwrap();
+        let mut c = Profile::decode_wire(&mut r).unwrap();
         r.expect_end().unwrap();
-        assert_eq!(format!("{c:?}"), before);
+        // Re-encoding the decoded profile reproduces the image, though the
+        // decoder allocated slots in id order, not first-fire order.
+        assert_eq!(wire(&c), bytes);
+        for i in 0..16 {
+            assert_eq!(c.entry_stats(ev(i)), p.entry_stats(ev(i)));
+            assert_eq!(c.atomic_stats(ev(i)), p.atomic_stats(ev(i)));
+        }
+        // The live frames survive: both close the same way.
+        for t in [300, 400] {
+            assert_eq!(c.stop(ev(3), t), p.stop(ev(3), t));
+        }
+        assert_eq!(wire(&c), wire(&p));
     }
 
     #[test]
@@ -998,34 +905,55 @@ mod tests {
         b.start(ev(9), 0);
         b.stop(ev(9), 10).unwrap();
         a.absorb(&b);
-        // Old behavior: `entries` resized to 10 rows, `active` untouched.
-        let dbg = format!("{a:?}");
-        assert!(dbg.contains("active: []"), "{dbg}");
         assert_eq!(a.entry_stats(ev(9)).count, 1);
+        // The absorbed slot extends the dense span to id 9 ...
+        assert_eq!(a.dense_equivalent_bytes(), b.dense_equivalent_bytes());
+        // ... but carries no live activation: a later start is not
+        // recursive.
+        assert_eq!(a.depth(), 0);
+        a.start(ev(9), 20);
+        assert!(!a.stop(ev(9), 30).unwrap().recursive);
     }
 
     #[test]
     fn hostile_counts_fail_loudly() {
-        // An image claiming 2^31 slots in a 20-byte input.
-        let mut w = crate::wire::Writer::new();
-        w.u32(8);
-        w.u32(8);
+        let decode = |w: Writer| Profile::decode_wire(&mut Reader::new(&w.into_vec()));
+        // An image claiming 2^31 slots in a 12-byte input.
+        let mut w = Writer::new();
         w.u32(1 << 31);
         w.u64(0);
-        let bytes = w.into_vec();
         assert!(matches!(
-            Profile::decode_wire(&mut Reader::new(&bytes)),
+            decode(w),
             Err(CodecError::Corrupt("profile slot count"))
         ));
-        // An image with an absurd dense watermark.
-        let mut w = crate::wire::Writer::new();
-        w.u32(u32::MAX);
-        w.u32(0);
-        w.u32(0);
-        let bytes = w.into_vec();
+        // Ids at the cap: an entry slot, an atomic slot, a live frame.
+        let slot = |w: &mut Writer, id: u32, words: usize| {
+            w.u32(1);
+            w.u32(id);
+            for _ in 0..words {
+                w.u64(0);
+            }
+        };
+        let mut w = Writer::new();
+        slot(&mut w, MAX_EVENT_ID, 6);
         assert!(matches!(
-            Profile::decode_wire(&mut Reader::new(&bytes)),
-            Err(CodecError::Corrupt("profile dense length"))
+            decode(w),
+            Err(CodecError::Corrupt("profile slot id"))
+        ));
+        let mut w = Writer::new();
+        w.u32(0);
+        slot(&mut w, MAX_EVENT_ID, 4);
+        assert!(matches!(
+            decode(w),
+            Err(CodecError::Corrupt("profile atomic slot id"))
+        ));
+        let mut w = Writer::new();
+        w.u32(0);
+        w.u32(0);
+        slot(&mut w, MAX_EVENT_ID, 4);
+        assert!(matches!(
+            decode(w),
+            Err(CodecError::Corrupt("activation event id"))
         ));
         // An image with out-of-order slot ids.
         let mut p = Profile::new();
@@ -1033,11 +961,9 @@ mod tests {
         p.stop(ev(2), 1).unwrap();
         p.start(ev(5), 2);
         p.stop(ev(5), 3).unwrap();
-        let mut w = crate::wire::Writer::new();
-        p.encode_wire(&mut w);
-        let mut bytes = w.into_vec();
-        // Swap the first slot id (2, at offset 12) to 5 so ids repeat.
-        bytes[12] = 5;
+        let mut bytes = wire(&p);
+        // Set the first slot id (2, at offset 4) to 5 so ids repeat.
+        bytes[4] = 5;
         assert!(matches!(
             Profile::decode_wire(&mut Reader::new(&bytes)),
             Err(CodecError::Corrupt("profile slot id"))
@@ -1045,12 +971,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_needs_derived_debug_parity_for_zero_count_rows() {
+    fn zero_count_rows_survive_decode_byte_for_byte() {
         // A hand-built image with a zero-count slot carrying nonzero
-        // fields must survive the rehydration Debug-identically.
-        let mut w = crate::wire::Writer::new();
-        w.u32(1); // entries watermark
-        w.u32(1); // active watermark
+        // fields must survive decoding unchanged.
+        let mut w = Writer::new();
         w.u32(1); // one slot
         w.u32(0); // event id 0
         w.u64(0); // count 0
@@ -1059,14 +983,14 @@ mod tests {
         w.u64(0);
         w.u64(0);
         w.u32(0); // no live activations
-        w.u32(0); // atomics watermark
         w.u32(0); // no atomic slots
         w.u32(0); // empty stack
         let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
         let p = Profile::decode_wire(&mut r).unwrap();
         r.expect_end().unwrap();
-        assert!(format!("{p:?}").contains("incl_ns: 77"));
+        assert_eq!(p.entry_stats(ev(0)).incl_ns, 77);
+        assert_eq!(wire(&p), bytes);
     }
 
     #[test]

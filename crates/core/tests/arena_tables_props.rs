@@ -3,15 +3,17 @@
 //! the old dense layouts they replaced.  Each test drives the real table and
 //! a dense reference model — plain `Vec`s indexed by event id, exactly the
 //! pre-arena storage — through the same random probe / batch-fold / reset
-//! sequence, then checks every observable surface: point reads, iteration
-//! order, totals, `Debug` text (what state digests hash) against the text
-//! the model's dense vectors print, and the KTAS wire roundtrip.
+//! sequence, then checks every observable surface (point reads, iteration
+//! order, totals, how live activations close) against the model, on the
+//! table and on its KTAS wire roundtrip, and that the wire encoding (what
+//! state digests hash) is canonical: encode → decode → encode reproduces
+//! the bytes even though the decoder allocates in its own order.
 
 mod common;
 
 use common::*;
 use ktau_core::measure::{MergedStats, MergedTable, WallTable};
-use ktau_core::profile::{AtomicStats, EntryExitStats, Profile};
+use ktau_core::profile::{AtomicStats, EntryExitStats, Profile, StopInfo};
 use ktau_core::wire::{Reader, Writer};
 use ktau_core::EventId;
 use proptest::prelude::*;
@@ -59,9 +61,7 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) {
 // ---------------------------------------------------------------------------
 
 /// Mirror of one live activation frame, kept so the model can reproduce the
-/// stop-time inclusive/exclusive arithmetic.  Its derived `Debug` is the
-/// text the profile prints for a live frame.
-#[derive(Debug)]
+/// stop-time inclusive/exclusive arithmetic.
 struct Activation {
     event: EventId,
     entry_ns: u64,
@@ -70,12 +70,50 @@ struct Activation {
     recursive: bool,
 }
 
+/// Point reads (fired ids, never-fired ids and ids past the largest touched
+/// read as defaults), iteration and totals of `p` against the dense model.
+fn check_profile(
+    p: &Profile,
+    entries: &[EntryExitStats],
+    atomics: &[AtomicStats],
+) -> Result<(), TestCaseError> {
+    for i in 0..IDS + 8 {
+        let want = entries.get(i as usize).copied().unwrap_or_default();
+        prop_assert_eq!(p.entry_stats(EventId(i)), want);
+        let want = atomics.get(i as usize).copied().unwrap_or_default();
+        prop_assert_eq!(p.atomic_stats(EventId(i)), want);
+    }
+
+    // Iteration: exactly the model's count>0 rows, ascending id.
+    let got: Vec<(u32, EntryExitStats)> = p.iter_entries().map(|(id, s)| (id.0, *s)).collect();
+    let want: Vec<(u32, EntryExitStats)> = entries
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.count > 0)
+        .map(|(i, e)| (i as u32, *e))
+        .collect();
+    prop_assert_eq!(got, want);
+    let got: Vec<(u32, AtomicStats)> = p.iter_atomics().map(|(id, s)| (id.0, *s)).collect();
+    let want: Vec<(u32, AtomicStats)> = atomics
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.count > 0)
+        .map(|(i, a)| (i as u32, *a))
+        .collect();
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(
+        p.total_excl_ns(),
+        entries.iter().map(|e| e.excl_ns).sum::<u64>()
+    );
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn profile_arena_matches_dense_model(ops in proptest::collection::vec(arb_pop(), 1..120)) {
         let mut p = Profile::new();
-        // The dense model: stats/active vectors up to the touched watermark,
-        // exactly the old eager layout.
+        // The dense model: stats/active vectors up to the largest touched
+        // id, exactly the old eager layout.
         let mut entries: Vec<EntryExitStats> = Vec::new();
         let mut active: Vec<u32> = Vec::new();
         let mut atomics: Vec<AtomicStats> = Vec::new();
@@ -161,61 +199,45 @@ proptest! {
             }
         }
 
-        // Point reads: fired ids match the model, never-fired ids (and ids
-        // past the watermark) read as defaults.
-        for i in 0..IDS + 8 {
-            let want = entries.get(i as usize).copied().unwrap_or_default();
-            prop_assert_eq!(p.entry_stats(EventId(i)), want);
-            let want = atomics.get(i as usize).copied().unwrap_or_default();
-            prop_assert_eq!(p.atomic_stats(EventId(i)), want);
-        }
-
-        // Iteration: exactly the model's count>0 rows, ascending id.
-        let got: Vec<(u32, EntryExitStats)> = p.iter_entries().map(|(id, s)| (id.0, *s)).collect();
-        let want: Vec<(u32, EntryExitStats)> = entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.count > 0)
-            .map(|(i, e)| (i as u32, *e))
-            .collect();
-        prop_assert_eq!(got, want);
-        let got: Vec<(u32, AtomicStats)> = p.iter_atomics().map(|(id, s)| (id.0, *s)).collect();
-        let want: Vec<(u32, AtomicStats)> = atomics
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.count > 0)
-            .map(|(i, a)| (i as u32, *a))
-            .collect();
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(p.total_excl_ns(), entries.iter().map(|e| e.excl_ns).sum::<u64>());
-
-        // Debug parity: the arena must print exactly what the old dense
-        // vectors printed (digests hash this text).
-        let dbg = format!("{p:?}");
-        prop_assert_eq!(
-            dbg.clone(),
-            format!(
-                "Profile {{ entries: {entries:?}, atomics: {atomics:?}, stack: {stack:?}, active: {active:?} }}"
-            )
-        );
-
-        // The codec roundtrips to Debug-identical state, and the image is
+        // The codec roundtrips to the same content, and the image is
         // canonical: re-encoding the decoded profile reproduces it
         // byte-for-byte even though in-memory slot allocation order (and
         // zeroed slots a reset leaves behind) may differ.
+        check_profile(&p, &entries, &atomics)?;
         let mut w = Writer::new();
         p.encode_wire(&mut w);
-        let d = Profile::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d:?}"), dbg);
+        let mut d = Profile::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
+        check_profile(&d, &entries, &atomics)?;
         let mut w2 = Writer::new();
         d.encode_wire(&mut w2);
         prop_assert_eq!(w2.as_slice(), w.as_slice());
+
+        // The live activation stack: closing every frame gives the model's
+        // stop arithmetic on both the table and its decoded copy.
+        prop_assert_eq!(d.depth(), stack.len());
+        while let Some(f) = stack.pop() {
+            let want = StopInfo {
+                incl_ns: now - f.entry_ns,
+                interval_ns: f.interval_ns,
+                recursive: f.recursive,
+            };
+            prop_assert_eq!(p.stop(f.event, now), Ok(want));
+            prop_assert_eq!(d.stop(f.event, now), Ok(want));
+            let excl = want.incl_ns.saturating_sub(f.child_ns);
+            model_record(&mut entries[f.event.0 as usize], want.incl_ns, excl, !f.recursive);
+            if let Some(parent) = stack.last_mut() {
+                parent.child_ns += want.incl_ns;
+            }
+            now += 3;
+        }
+        check_profile(&p, &entries, &atomics)?;
+        check_profile(&d, &entries, &atomics)?;
     }
 }
 
 // ---------------------------------------------------------------------------
-// MergedTable: add_n folds, bare cell touches (count-0 cells must survive as
-// dense-shape watermarks without becoming observations), clears
+// MergedTable: add_n folds, bare cell touches (count-0 cells must not become
+// observations), clears
 // ---------------------------------------------------------------------------
 
 fn mslot(user: Option<u32>) -> usize {
@@ -252,47 +274,49 @@ proptest! {
             }
         }
 
-        // Point reads across the whole grid (touched-but-zero cells and
-        // never-touched cells both read back as absent).
-        for user in std::iter::once(None).chain((0..USERS).map(Some)) {
-            for kernel in 0..KERNELS {
-                let want = rows
-                    .get(mslot(user))
-                    .and_then(|r| r.get(kernel as usize))
-                    .filter(|c| c.count > 0)
-                    .copied();
-                prop_assert_eq!(t.get(mkey(user, kernel)).copied(), want);
-            }
-        }
-
-        // Iteration: row-major over the dense model, recorded cells only.
-        let got: Vec<(usize, u32, MergedStats)> = t
-            .iter()
-            .map(|((u, k), s)| (mslot(u.map(|e| e.0)), k.0, *s))
-            .collect();
-        let want: Vec<(usize, u32, MergedStats)> = rows
-            .iter()
-            .enumerate()
-            .flat_map(|(r, row)| {
-                row.iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.count > 0)
-                    .map(move |(k, c)| (r, k as u32, *c))
-            })
-            .collect();
-        prop_assert_eq!(got, want);
-
-        // Debug parity: the arena must print exactly what the old dense
-        // rows printed (digests hash this text).
-        let dbg = format!("{t:?}");
-        prop_assert_eq!(dbg.clone(), format!("MergedTable {{ rows: {rows:?} }}"));
-
-        // The codec roundtrips to Debug-identical state.
+        // The table, then its decoded copy, against the model; then the
+        // decoded copy re-encodes to the same bytes.
+        check_merged(&t, &rows)?;
         let mut w = Writer::new();
         t.encode_wire(&mut w);
         let d = MergedTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d:?}"), dbg);
+        check_merged(&d, &rows)?;
+        let mut w2 = Writer::new();
+        d.encode_wire(&mut w2);
+        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
+}
+
+/// Point reads across the whole grid (touched-but-zero cells and
+/// never-touched cells both read back as absent) and row-major iteration
+/// of `t` against the dense model.
+fn check_merged(t: &MergedTable, rows: &[Vec<MergedStats>]) -> Result<(), TestCaseError> {
+    for user in std::iter::once(None).chain((0..USERS).map(Some)) {
+        for kernel in 0..KERNELS {
+            let want = rows
+                .get(mslot(user))
+                .and_then(|r| r.get(kernel as usize))
+                .filter(|c| c.count > 0)
+                .copied();
+            prop_assert_eq!(t.get(mkey(user, kernel)).copied(), want);
+        }
+    }
+    let got: Vec<(usize, u32, MergedStats)> = t
+        .iter()
+        .map(|((u, k), s)| (mslot(u.map(|e| e.0)), k.0, *s))
+        .collect();
+    let want: Vec<(usize, u32, MergedStats)> = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(r, row)| {
+            row.iter()
+                .enumerate()
+                .filter(|(_, c)| c.count > 0)
+                .map(move |(k, c)| (r, k as u32, *c))
+        })
+        .collect();
+    prop_assert_eq!(got, want);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -322,30 +346,33 @@ proptest! {
             }
         }
 
-        // Point reads, including a zero-ns accumulation staying Some.
-        for user in std::iter::once(None).chain((0..USERS).map(Some)) {
-            let want = model.get(mslot(user)).copied().flatten();
-            prop_assert_eq!(wt.get(user.map(EventId)), want);
-        }
-
-        // Iteration in dense slot order.
-        let got: Vec<(usize, u64)> = wt.iter().map(|(u, ns)| (mslot(u.map(|e| e.0)), ns)).collect();
-        let want: Vec<(usize, u64)> = model
-            .iter()
-            .enumerate()
-            .filter_map(|(s, o)| o.map(|ns| (s, ns)))
-            .collect();
-        prop_assert_eq!(got, want);
-
-        // Debug parity: the arena must print exactly what the old dense
-        // vector printed (digests hash this text).
-        prop_assert_eq!(format!("{wt:?}"), format!("WallTable {{ slots: {model:?} }}"));
-
-        // The codec roundtrips to Debug-identical state.
-        let dbg = format!("{wt:?}");
+        check_wall(&wt, &model)?;
         let mut w = Writer::new();
         wt.encode_wire(&mut w);
         let d = WallTable::decode_wire(&mut Reader::new(w.as_slice())).unwrap();
-        prop_assert_eq!(format!("{d:?}"), dbg);
+        check_wall(&d, &model)?;
+        let mut w2 = Writer::new();
+        d.encode_wire(&mut w2);
+        prop_assert_eq!(w2.as_slice(), w.as_slice());
     }
+}
+
+/// Point reads, including a zero-ns accumulation staying `Some`, and
+/// iteration in dense slot order of `wt` against the dense model.
+fn check_wall(wt: &WallTable, model: &[Option<u64>]) -> Result<(), TestCaseError> {
+    for user in std::iter::once(None).chain((0..USERS).map(Some)) {
+        let want = model.get(mslot(user)).copied().flatten();
+        prop_assert_eq!(wt.get(user.map(EventId)), want);
+    }
+    let got: Vec<(usize, u64)> = wt
+        .iter()
+        .map(|(u, ns)| (mslot(u.map(|e| e.0)), ns))
+        .collect();
+    let want: Vec<(usize, u64)> = model
+        .iter()
+        .enumerate()
+        .filter_map(|(s, o)| o.map(|ns| (s, ns)))
+        .collect();
+    prop_assert_eq!(got, want);
+    Ok(())
 }

@@ -88,8 +88,8 @@ pub fn drive_profile(p: &mut Profile, ops: &[POp]) {
 }
 
 // ---------------------------------------------------------------------------
-// MergedTable: add_n folds, bare cell touches (count-0 cells must survive as
-// dense-shape watermarks without becoming observations), clears
+// MergedTable: add_n folds, bare cell touches (count-0 cells must not become
+// observations), clears
 // ---------------------------------------------------------------------------
 
 pub const USERS: u32 = 10;

@@ -1794,11 +1794,11 @@ impl Node {
     }
 
     /// Folds this node's externally-observable simulation state into a
-    /// running FNV-1a hash: per-task scheduler state, counters and full
-    /// measurement state (profiles, merged/wall tables, traces), plus
-    /// per-CPU idle/steal accounting.  Backs
-    /// [`crate::sim::Cluster::state_digest`].
-    pub(crate) fn digest_into(&self, h: &mut u64) {
+    /// running FNV-1a hash: node id, online flag, per-CPU idle/steal
+    /// accounting, then every task's [`Task::encode_observable`] bytes in
+    /// pid order, written into `w` (cleared first, so one writer serves
+    /// every node).  Backs [`crate::sim::Cluster::state_digest`].
+    pub(crate) fn digest_into(&self, h: &mut u64, w: &mut Writer) {
         use crate::sim::fnv;
         fnv(h, self.id as u64);
         fnv(h, self.online as u64);
@@ -1806,23 +1806,54 @@ impl Node {
             fnv(h, c.idle_ns);
             fnv(h, c.steal_ns);
         }
-        for pid in self.tasks.pids() {
-            let t = &self.tasks[pid];
-            fnv(h, pid.0 as u64);
-            fnv(h, t.cpu_ns);
-            use std::fmt::Write;
-            // Streamed into the hash: no per-task text buffer, however
-            // large the task's `Debug` output.
-            let _ = write!(
-                ktau_core::digest::FnvWriter(h),
-                "{}|{:?}|{:?}|{:?}|{:?}",
-                t.comm,
-                t.state,
-                t.op,
-                t.counters,
-                t.meas
-            );
+        w.clear();
+        for t in self.tasks.values() {
+            t.encode_observable(w, |_| {});
         }
+        ktau_core::digest::fnv_bytes(h, w.as_slice());
+    }
+
+    /// The first difference between what [`Node::digest_into`] hashes for
+    /// this node and for `other`: a node field, a CPU's idle/steal time,
+    /// the pid set, or the first task (pid and comm) and section of
+    /// [`Task::OBSERVABLE_SECTIONS`] whose bytes differ.  Backs
+    /// [`crate::sim::Cluster::state_diff`].
+    pub(crate) fn state_diff(&self, other: &Node) -> Option<String> {
+        let id = self.id;
+        if (self.id, self.online) != (other.id, other.online) {
+            return Some(format!(
+                "node {id}: (id, online) ({}, {}) vs ({}, {})",
+                self.id, self.online, other.id, other.online
+            ));
+        }
+        let cpu_ns = |n: &Node| -> Vec<(Ns, Ns)> {
+            n.cpus.iter().map(|c| (c.idle_ns, c.steal_ns)).collect()
+        };
+        let (ca, cb) = (cpu_ns(self), cpu_ns(other));
+        if ca != cb {
+            return Some(format!("node {id}: per-CPU (idle, steal) {ca:?} vs {cb:?}"));
+        }
+        let (pa, pb) = (self.tasks.pids(), other.tasks.pids());
+        if pa != pb {
+            return Some(format!("node {id}: pids {pa:?} vs {pb:?}"));
+        }
+        let (mut wa, mut wb) = (Writer::new(), Writer::new());
+        for (a, b) in self.tasks.values().zip(other.tasks.values()) {
+            let (mut ea, mut eb) = (vec![0], vec![0]);
+            wa.clear();
+            wb.clear();
+            a.encode_observable(&mut wa, |w| ea.push(w.len()));
+            b.encode_observable(&mut wb, |w| eb.push(w.len()));
+            for (k, name) in Task::OBSERVABLE_SECTIONS.iter().enumerate() {
+                if wa.as_slice()[ea[k]..ea[k + 1]] != wb.as_slice()[eb[k]..eb[k + 1]] {
+                    return Some(format!(
+                        "node {id} pid {} ({}) differs in {name}",
+                        a.pid.0, a.comm
+                    ));
+                }
+            }
+        }
+        None
     }
 
     // -- dynticks (NO_HZ-style) tick coalescing ------------------------------

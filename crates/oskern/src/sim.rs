@@ -1332,18 +1332,42 @@ impl Cluster {
         self.events_processed + self.ticks_coalesced() + self.txdone_elided()
     }
 
-    /// Order-insensitive FNV-1a digest of all externally-observable
-    /// simulation state: virtual time plus every task's identity, counters,
-    /// profile and merged/wall aggregates on every node.  Two engines that
+    /// FNV-1a digest of all externally-observable simulation state: virtual
+    /// time, then node by node in node order, each node's CPU accounting and
+    /// its tasks in pid order — identity, scheduler state, counters,
+    /// profiles, trace and merged/wall aggregates.  Two engines that
     /// simulated the same workload must produce equal digests; equivalence
     /// tests compare this across the dynticks and reference engines.
     pub fn state_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = ktau_core::digest::FNV_OFFSET;
         fnv(&mut h, self.now);
+        let mut w = ktau_core::wire::Writer::new();
         for n in &self.nodes {
-            n.digest_into(&mut h);
+            n.digest_into(&mut h, &mut w);
         }
         h
+    }
+
+    /// Names the first place where the state [`Cluster::state_digest`]
+    /// hashes differs between this cluster and `other`: virtual time, the
+    /// node count, or the first node, pid, comm and section (sched/op,
+    /// counters, kernel, user, trace, merged, wall) whose bytes differ.
+    /// `None` when the digests hash identical bytes.
+    pub fn state_diff(&self, other: &Cluster) -> Option<String> {
+        if self.now != other.now {
+            return Some(format!("now {} vs {} ns", self.now, other.now));
+        }
+        if self.nodes.len() != other.nodes.len() {
+            return Some(format!(
+                "{} vs {} nodes",
+                self.nodes.len(),
+                other.nodes.len()
+            ));
+        }
+        self.nodes
+            .iter()
+            .zip(&other.nodes)
+            .find_map(|(a, b)| a.state_diff(b))
     }
 
     /// Runs until every spawned app task has exited, or until `deadline_ns`
@@ -1652,6 +1676,34 @@ mod tests {
         assert_eq!(q.pop(), Some((200, Event::Tick { node: 0, cpu: 0 })));
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    /// `state_diff` names the node, task and section a perturbation hit,
+    /// and nothing for a state the digest does not cover.
+    #[test]
+    fn state_diff_names_a_perturbed_counter() {
+        let mut a = Cluster::new(crate::config::ClusterSpec::chiba(2));
+        a.run_for(5_000_000);
+        let mut b = Cluster::resume(&a.snapshot()).unwrap();
+        assert_eq!(a.state_diff(&b), None);
+        let pid = *b.node(1).pids().last().unwrap();
+        fn task(c: &mut Cluster, pid: Pid) -> &mut crate::task::Task {
+            c.node_mut(1).task_mut(pid).unwrap()
+        }
+        task(&mut b, pid).meas.mark_dirty();
+        assert_eq!(a.state_diff(&b), None, "the generation is not observable");
+        task(&mut b, pid).counters.wakeups += 1;
+        let comm = task(&mut b, pid).comm.clone();
+        assert_ne!(a.state_digest(), b.state_digest());
+        assert_eq!(
+            a.state_diff(&b).as_deref(),
+            Some(format!("node 1 pid {} ({comm}) differs in counters", pid.0).as_str())
+        );
+        b.run_for(1);
+        assert_eq!(
+            a.state_diff(&b).unwrap(),
+            format!("now {} vs {} ns", a.now(), b.now())
+        );
     }
 
     /// `len`/`pending_summary` count armed ticks that live in the lanes.

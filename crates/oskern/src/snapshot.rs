@@ -43,10 +43,10 @@ use std::sync::{Arc, Mutex};
 
 /// Magic prefix of engine snapshot images.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"KTAS";
-/// Snapshot image version.  v2 stores per-task measurement sections in the
-/// compact arena layout; [`Cluster::resume`] rejects every other version,
-/// including the retired dense-layout v1.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// Snapshot image version.  v3 stores per-task measurement sections in the
+/// compact arena layout without the dense-layout watermarks v2 carried;
+/// [`Cluster::resume`] rejects every other version, v1 and v2 included.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 // -- event-group tags --------------------------------------------------------
 
@@ -754,8 +754,8 @@ mod tests {
         ] {
             c.run_for(1_000_000);
             let snap = c.snapshot();
-            // Unknown versions, the retired dense-layout v1 included.
-            for v in [1u16, 99] {
+            // Unknown versions, the retired v1 and v2 included.
+            for v in [1u16, 2, 99] {
                 let mut image = snap.image().to_vec();
                 // The u16 version field (little-endian, after the magic).
                 image[4..6].copy_from_slice(&v.to_le_bytes());

@@ -256,12 +256,7 @@ impl Task {
             TaskKind::Daemon => 1,
             TaskKind::Idle => 2,
         });
-        w.u8(match self.state {
-            TaskState::Running => 0,
-            TaskState::Runnable => 1,
-            TaskState::Blocked => 2,
-            TaskState::Dead => 3,
-        });
+        encode_state(w, self.state);
         w.u32(self.affinity);
         w.u8(self.last_cpu);
         w.u32(self.slice_left);
@@ -285,20 +280,7 @@ impl Task {
         encode_op_state(w, &self.op);
         w.bool(self.program.is_some());
         self.meas.encode_wire(w);
-        let c = &self.counters;
-        for v in [
-            c.migrations,
-            c.preemptions,
-            c.voluntary_switches,
-            c.syscalls,
-            c.page_faults,
-            c.signals,
-            c.wakeups,
-            c.interrupts,
-            c.send_timeouts,
-        ] {
-            w.u64(v);
-        }
+        encode_counters(w, &self.counters);
         w.u64(self.cpu_ns);
         w.u64(self.created_ns);
         w.u64(self.exited_ns);
@@ -317,6 +299,29 @@ impl Task {
                 w.str(s);
             }
         }
+    }
+
+    /// Names of the sections [`Task::encode_observable`] writes, in order.
+    pub(crate) const OBSERVABLE_SECTIONS: [&'static str; 7] = [
+        "sched/op", "counters", "kernel", "user", "trace", "merged", "wall",
+    ];
+
+    /// Serializes the task's externally observable state, which engine
+    /// state digests hash: pid, CPU time, comm, scheduler state and op
+    /// (section `sched/op`), the counters, then the measurement sections
+    /// of [`TaskMeasurement::encode_observable`] — the same encoders the
+    /// image uses.  `end` is called with the writer after each of the
+    /// [`Task::OBSERVABLE_SECTIONS`].
+    pub(crate) fn encode_observable(&self, w: &mut Writer, mut end: impl FnMut(&Writer)) {
+        w.u32(self.pid.0);
+        w.u64(self.cpu_ns);
+        w.str(&self.comm);
+        encode_state(w, self.state);
+        encode_op_state(w, &self.op);
+        end(w);
+        encode_counters(w, &self.counters);
+        end(w);
+        self.meas.encode_observable(w, end);
     }
 
     /// Inverse of [`Task::encode_wire`].  Returns the task (with `program`
@@ -409,6 +414,31 @@ impl Task {
             },
             has_program,
         ))
+    }
+}
+
+fn encode_state(w: &mut Writer, state: TaskState) {
+    w.u8(match state {
+        TaskState::Running => 0,
+        TaskState::Runnable => 1,
+        TaskState::Blocked => 2,
+        TaskState::Dead => 3,
+    });
+}
+
+fn encode_counters(w: &mut Writer, c: &TaskCounters) {
+    for v in [
+        c.migrations,
+        c.preemptions,
+        c.voluntary_switches,
+        c.syscalls,
+        c.page_faults,
+        c.signals,
+        c.wakeups,
+        c.interrupts,
+        c.send_timeouts,
+    ] {
+        w.u64(v);
     }
 }
 

@@ -40,9 +40,14 @@ fn quiet(n: usize) -> ClusterSpec {
     s
 }
 
+/// `(end, digest)` of both engines' runs, plus [`Cluster::state_diff`]'s
+/// naming of the first difference between them.
+type Outcome = ((u64, u64), (u64, u64), Option<String>);
+
 /// Boots the spec under both engines, runs each identically via `drive`,
-/// and returns `((end, digest), (end, digest))` for (dynticks, reference).
-fn run_both(spec: ClusterSpec, drive: impl Fn(&mut Cluster)) -> ((u64, u64), (u64, u64)) {
+/// and returns `((end, digest), (end, digest), diff)` for (dynticks,
+/// reference).
+fn run_both(spec: ClusterSpec, drive: impl Fn(&mut Cluster)) -> Outcome {
     let mut dyn_c = Cluster::new(spec.clone());
     let mut ref_c = Cluster::new_reference_engine(spec);
     drive(&mut dyn_c);
@@ -50,6 +55,7 @@ fn run_both(spec: ClusterSpec, drive: impl Fn(&mut Cluster)) -> ((u64, u64), (u6
     (
         (dyn_c.now(), dyn_c.state_digest()),
         (ref_c.now(), ref_c.state_digest()),
+        dyn_c.state_diff(&ref_c),
     )
 }
 
@@ -95,7 +101,7 @@ proptest! {
         if noisy {
             spec.noise = NoiseSpec::default();
         }
-        let (d, r) = run_both(spec, |c| {
+        let (d, r, diff) = run_both(spec, |c| {
             for (i, ops) in progs.iter().enumerate() {
                 c.spawn(
                     0,
@@ -104,7 +110,7 @@ proptest! {
             }
             c.run_until_apps_exit(3_600 * NS_PER_SEC);
         });
-        prop_assert_eq!(d, r, "dynticks diverged from reference");
+        prop_assert_eq!(d, r, "dynticks diverged from reference: {:?}", diff);
     }
 
     /// Cross-node traffic — including NIC-backlogged streams whose TxDone
@@ -114,8 +120,8 @@ proptest! {
         msgs in arb_message_bytes(),
         extra in proptest::collection::vec(arb_local_program(), 0..3),
     ) {
-        let (d, r) = run_both(quiet(2), |c| drive_traffic(c, &msgs, &extra));
-        prop_assert_eq!(d, r, "dynticks diverged from reference");
+        let (d, r, diff) = run_both(quiet(2), |c| drive_traffic(c, &msgs, &extra));
+        prop_assert_eq!(d, r, "dynticks diverged from reference: {:?}", diff);
     }
 
     /// Lossy links: drops, duplicates, and delay spikes repaired by
@@ -141,8 +147,8 @@ proptest! {
                 rto_ns: 2_000_000,
             },
         );
-        let (d, r) = run_both(spec, |c| drive_traffic(c, &msgs, &[]));
-        prop_assert_eq!(d, r, "dynticks diverged from reference");
+        let (d, r, diff) = run_both(spec, |c| drive_traffic(c, &msgs, &[]));
+        prop_assert_eq!(d, r, "dynticks diverged from reference: {:?}", diff);
     }
 
     /// Degraded nodes: CPU slowdown, late CPU offlining (which forces the
@@ -170,8 +176,8 @@ proptest! {
                 }),
             },
         )];
-        let (d, r) = run_both(spec, |c| drive_traffic(c, &msgs, &progs));
-        prop_assert_eq!(d, r, "dynticks diverged from reference");
+        let (d, r, diff) = run_both(spec, |c| drive_traffic(c, &msgs, &progs));
+        prop_assert_eq!(d, r, "dynticks diverged from reference: {:?}", diff);
     }
 
 }
@@ -256,14 +262,20 @@ proptest! {
         let snap = original.snapshot();
         let mut resumed = Cluster::resume(&snap).expect("resume failed");
         prop_assert_eq!(resumed.now(), original.now());
-        prop_assert_eq!(resumed.state_digest(), original.state_digest());
+        prop_assert_eq!(
+            resumed.state_digest(),
+            original.state_digest(),
+            "resume changed the state: {:?}",
+            resumed.state_diff(&original)
+        );
         original.run_until_apps_exit(600 * NS_PER_SEC);
         resumed.run_until_apps_exit(600 * NS_PER_SEC);
         prop_assert_eq!(resumed.now(), original.now(), "resumed end time diverged");
         prop_assert_eq!(
             resumed.state_digest(),
             original.state_digest(),
-            "resumed digest diverged"
+            "resumed digest diverged: {:?}",
+            resumed.state_diff(&original)
         );
     }
 
@@ -341,7 +353,8 @@ proptest! {
         prop_assert_eq!(
             fork.state_digest(),
             cold.state_digest(),
-            "forked digest diverged from cold run"
+            "forked digest diverged from cold run: {:?}",
+            fork.state_diff(&cold)
         );
     }
 

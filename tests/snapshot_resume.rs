@@ -82,11 +82,21 @@ fn snapshot_resume_and_fork_are_digest_identical() {
     // Plain resume: bit-identical now and forever after.
     let mut resumed = Cluster::resume(&snap).expect("resume failed");
     assert_eq!(resumed.now(), original.now());
-    assert_eq!(resumed.state_digest(), original.state_digest());
+    assert_eq!(
+        resumed.state_digest(),
+        original.state_digest(),
+        "resume changed the state: {:?}",
+        resumed.state_diff(&original)
+    );
     original.run_until_apps_exit(600 * NS_PER_SEC);
     resumed.run_until_apps_exit(600 * NS_PER_SEC);
     assert_eq!(resumed.now(), original.now());
-    assert_eq!(resumed.state_digest(), original.state_digest());
+    assert_eq!(
+        resumed.state_digest(),
+        original.state_digest(),
+        "resumed digest diverged: {:?}",
+        resumed.state_diff(&original)
+    );
 
     // Fork with a mid-run mutation: matches the same mutation applied to an
     // uninterrupted run at the same virtual time.
@@ -123,6 +133,7 @@ fn snapshot_resume_and_fork_are_digest_identical() {
     assert_eq!(
         fork.state_digest(),
         cold.state_digest(),
-        "forked digest diverged from cold twin"
+        "forked digest diverged from cold twin: {:?}",
+        fork.state_diff(&cold)
     );
 }
