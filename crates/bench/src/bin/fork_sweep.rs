@@ -16,9 +16,14 @@
 //!   reference-engine fork must all match the cold digests) and exit
 //!   non-zero on any mismatch, **without touching `BENCH_engine.json`**.
 //!   This is the CI gate.
+//!
+//! Without `--check` the sweep records row `jobs_<N>` of the `fork_sweep`
+//! block in `BENCH_engine.json`.  The committed row is `jobs_1`: refresh it
+//! with `fork_sweep --jobs 1`, since the default worker count is the host's
+//! core count and would add a second row instead.
 use ktau_bench::{
-    jobs, run_cold, run_fork, run_parallel, run_prefix, sweep_hash, variants, ForkEngine,
-    ForkOutcome, SweepCheckpoint, T_FORK_NS,
+    benchfile, jobs, run_cold, run_fork, run_parallel, run_prefix, sweep_hash, variants,
+    ForkEngine, ForkOutcome, SweepCheckpoint, T_FORK_NS,
 };
 use ktau_core::time::NS_PER_SEC;
 use serde_json::Value;
@@ -161,7 +166,7 @@ fn main() {
         );
         return; // --check never writes BENCH_engine.json
     }
-    record_fork_sweep(
+    if let Err(e) = record_fork_sweep(
         j,
         vs.len(),
         prefix_wall_s,
@@ -169,20 +174,21 @@ fn main() {
         warm_measured_s,
         cold_serial_s,
         cold_cached,
-    );
-    println!("fork_sweep block written to BENCH_engine.json");
+    ) {
+        eprintln!("[fork_sweep] cannot record timing: {e}");
+        std::process::exit(1);
+    }
+    println!("fork_sweep block written to {}", benchfile::ENGINE);
 }
 
 fn cold_step(name: &str) -> String {
     format!("cold_{name}")
 }
 
-/// Merges this sweep's timing into the `fork_sweep` block of
-/// `BENCH_engine.json` without disturbing the engine rows `perf_smoke` and
-/// `run_all` maintain there.  Rows are keyed by jobs count; the comparison
-/// is serial-equivalent wall time (sum of per-path walls), which is the
-/// honest metric on this single-CPU benchmark host where thread fan-out
-/// adds coordination overhead instead of speedup.
+/// Records this sweep's timing as row `jobs_<N>` of the `fork_sweep` block
+/// of `BENCH_engine.json`.  The comparison is serial-equivalent wall time
+/// (sum of per-path walls), which stays honest when the fan-out has fewer
+/// cores than workers.
 fn record_fork_sweep(
     jobs: usize,
     variants: usize,
@@ -191,13 +197,16 @@ fn record_fork_sweep(
     warm_measured_s: f64,
     cold_serial_s: f64,
     cold_cached: bool,
-) {
-    let path = "BENCH_engine.json";
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-        .unwrap_or(Value::Obj(Vec::new()));
+) -> std::io::Result<()> {
     let warm_serial_s = prefix_wall_s + fork_serial_s;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let fan_out = if jobs == 1 {
+        "one worker, so the measured warm wall is serial".to_owned()
+    } else if jobs > host_cores {
+        format!("{jobs} workers on {host_cores} core(s), so the measured warm wall includes coordination overhead, not speedup")
+    } else {
+        format!("{jobs} workers on {host_cores} cores")
+    };
     let row = Value::Obj(vec![
         ("jobs".to_owned(), Value::U64(jobs as u64)),
         ("variants".to_owned(), Value::U64(variants as u64)),
@@ -228,45 +237,18 @@ fn record_fork_sweep(
                 .to_owned(),
             ),
         ),
-        (
-            "host_cores".to_owned(),
-            Value::U64(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
-        ),
+        ("host_cores".to_owned(), Value::U64(host_cores as u64)),
         (
             "note".to_owned(),
-            Value::Str(
-                "serial-equivalent walls (sum of per-path times); single-CPU host, so \
-                 jobs>1 measures coordination overhead, not speedup"
-                    .to_owned(),
-            ),
+            Value::Str(format!(
+                "serial-equivalent walls (sum of per-path times); {fan_out}"
+            )),
         ),
     ]);
-    let key = format!("jobs_{jobs}");
-    if let Value::Obj(fields) = &mut root {
-        let block = match fields.iter_mut().find(|(k, _)| k == "fork_sweep") {
-            Some((_, v)) => {
-                if !matches!(v, Value::Obj(rows) if rows.iter().all(|(_, r)| matches!(r, Value::Obj(_))))
-                {
-                    *v = Value::Obj(Vec::new());
-                }
-                v
-            }
-            None => {
-                fields.push(("fork_sweep".to_owned(), Value::Obj(Vec::new())));
-                &mut fields.last_mut().unwrap().1
-            }
-        };
-        if let Value::Obj(rows) = block {
-            match rows.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v = row,
-                None => {
-                    rows.push((key, row));
-                    rows.sort_by(|a, b| a.0.cmp(&b.0));
-                }
-            }
-        }
-        if let Ok(s) = serde_json::to_string_pretty(&root) {
-            let _ = std::fs::write(path, s);
-        }
-    }
+    benchfile::set_row(
+        benchfile::ENGINE,
+        "fork_sweep",
+        &format!("jobs_{jobs}"),
+        row,
+    )
 }

@@ -23,10 +23,9 @@
 //! event-count gates, the report, and the pin: both configs' digests must
 //! equal the `state_digest` values committed in `BENCH_engine.json`).
 //!
-//! A baseline measured on an older commit can be folded in via
-//! `KTAU_SEED_COMMIT` / `KTAU_SEED_WALL_S` (same workload, same machine), and
-//! a cold-cache `run_all` wall measurement via `KTAU_RUNALL_WALL_S` /
-//! `KTAU_RUNALL_JOBS` / `KTAU_RUNALL_CORES`.
+//! Without `--check` it sets its own blocks of `BENCH_engine.json` (`bench`
+//! through `queue_micro`); the `run_all` and `fork_sweep` blocks are theirs.
+use ktau_bench::benchfile;
 use ktau_mpi::{launch, Layout};
 use ktau_oskern::{Cluster, ClusterSpec, Event, EventQueue};
 use ktau_workloads::LuParams;
@@ -73,21 +72,6 @@ struct ConfigNumbers {
 }
 
 #[derive(Serialize)]
-struct SeedBaseline {
-    commit: String,
-    wall_s: f64,
-    speedup_vs_seed: f64,
-}
-
-#[derive(Serialize)]
-struct RunAllColdCache {
-    wall_s: f64,
-    jobs: u64,
-    host_cores: u64,
-    note: String,
-}
-
-#[derive(Serialize)]
 struct QueueMicroRow {
     /// Push-delta distribution: `uniform` (1 µs–1 ms, the wheel's bread
     /// and butter), `bursty` (64-deep same-nanosecond storms every 100 µs,
@@ -123,14 +107,6 @@ struct Report {
     hz1000: ConfigNumbers,
     /// Event-queue micro-benchmarks, isolated from the simulation proper.
     queue_micro: QueueMicro,
-    /// Engine self-profile from a `--features selfprof` build (see
-    /// `perf_smoke --selfprof`); preserved read-modify-write by default
-    /// builds, which cannot collect it.
-    selfprof: Option<serde_json::Value>,
-    seed_baseline: Option<SeedBaseline>,
-    run_all_cold_cache: Option<RunAllColdCache>,
-    run_all_jobs_timing: Option<serde_json::Value>,
-    fork_sweep: Option<serde_json::Value>,
 }
 
 struct RunStats {
@@ -327,149 +303,41 @@ fn queue_micro() -> QueueMicro {
     }
 }
 
-/// `--selfprof` mode: one instrumented dynticks hz1000 run, folded into the
-/// existing `BENCH_engine.json` as the `selfprof` block.  Requires a
-/// `--features selfprof` build — the default build's counters are
-/// compiled out and would silently read zero.
-fn selfprof_pass() {
-    if !ktau_core::selfprof::enabled() {
-        panic!(
-            "perf_smoke --selfprof needs the instrumented build:\n  \
-             cargo run --release --features selfprof -p ktau-bench --bin perf_smoke -- --selfprof"
-        );
-    }
-    ktau_core::selfprof::reset();
-    let r = run_once(Engine::Dynticks, 1000);
-    let s = ktau_core::selfprof::snapshot();
-    let u = |n: u64| serde_json::Value::U64(n);
-    let f = |x: f64| serde_json::Value::F64(x);
-    let counters = serde_json::Value::Obj(
-        ktau_core::selfprof::COUNTER_NAMES
-            .iter()
-            .zip(s.counters.iter())
-            .map(|(name, v)| (name.to_string(), u(*v)))
-            .collect(),
-    );
-    let dispatch = serde_json::Value::Arr(
-        (0..ktau_core::selfprof::NUM_EVENT_CLASSES)
-            .map(|i| {
-                serde_json::Value::Obj(vec![
-                    (
-                        "class".into(),
-                        serde_json::Value::Str(
-                            ktau_core::selfprof::EVENT_CLASS_NAMES[i].to_string(),
-                        ),
-                    ),
-                    ("count".into(), u(s.dispatch_count[i])),
-                    ("ns".into(), u(s.dispatch_ns[i])),
-                    (
-                        "ns_per_event".into(),
-                        f(if s.dispatch_count[i] == 0 {
-                            0.0
-                        } else {
-                            s.dispatch_ns[i] as f64 / s.dispatch_count[i] as f64
-                        }),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let text = std::fs::read_to_string("BENCH_engine.json")
-        .expect("BENCH_engine.json must exist (run perf_smoke without flags first)");
-    let mut doc: serde_json::Value = serde_json::from_str(&text).expect("parse BENCH_engine.json");
-    // The overhead is stated from measurements, never assumed: the default
-    // build's best-of-N wall for the same workload is the hz1000 dynticks
-    // row perf_smoke wrote into this file.
-    let default_wall = match doc
-        .obj_get("hz1000")
-        .obj_get("dynticks_engine")
-        .obj_get("wall_s")
-    {
-        serde_json::Value::F64(x) => *x,
-        _ => panic!("BENCH_engine.json lacks hz1000.dynticks_engine.wall_s (run perf_smoke first)"),
-    };
-    let note = format!(
-        "wall times elsewhere in this file come from the default build; one instrumented \
-         run took {:.3} s vs the default build's best-of-{ITERATIONS} {:.3} s on the same \
-         workload ({:.2}x)",
-        r.wall_s,
-        default_wall,
-        r.wall_s / default_wall
-    );
-    let block = serde_json::Value::Obj(vec![
-        (
-            "workload".into(),
-            serde_json::Value::Str(
-                "one dynticks hz1000 LU-16 run, instrumented (--features selfprof) build".into(),
-            ),
-        ),
-        ("note".into(), serde_json::Value::Str(note)),
-        ("wall_s_instrumented".into(), f(r.wall_s)),
-        (
-            "instrumented_over_default".into(),
-            f(r.wall_s / default_wall),
-        ),
-        ("events_dispatched".into(), u(r.dispatched)),
-        ("counters".into(), counters),
-        ("dispatch_classes".into(), dispatch),
-    ]);
-    match &mut doc {
-        serde_json::Value::Obj(fields) => match fields.iter_mut().find(|(k, _)| k == "selfprof") {
-            Some((_, v)) => *v = block,
-            None => fields.push(("selfprof".into(), block)),
-        },
-        _ => panic!("BENCH_engine.json is not a JSON object"),
-    }
-    let json = serde_json::to_string_pretty(&doc).expect("serialize");
-    std::fs::write("BENCH_engine.json", json + "\n").expect("write BENCH_engine.json");
-    eprintln!("[perf_smoke --selfprof] selfprof block updated in BENCH_engine.json");
-}
-
-/// `--check`: the committed artifact must be fully populated — a `null`
-/// where a regen step was skipped fails here, loudly, with the command
-/// that fills it.  Returns the parsed file.
+/// `--check`: the committed artifact must hold every regenerated block — a
+/// missing one fails here, loudly, with the command that fills it.  Returns
+/// the parsed file.
 fn check_bench_fields() -> serde_json::Value {
-    let text = std::fs::read_to_string("BENCH_engine.json")
-        .expect("BENCH_engine.json missing; regenerate with: cargo run --release -p ktau-bench --bin perf_smoke");
-    let doc: serde_json::Value =
-        serde_json::from_str(&text).expect("BENCH_engine.json is not valid JSON");
+    let doc = serde_json::Value::Obj(
+        benchfile::read(benchfile::ENGINE).unwrap_or_else(|e| panic!("{e}")),
+    );
     let required: &[(&str, &str)] = &[
         (
             "queue_micro",
             "cargo run --release -p ktau-bench --bin perf_smoke",
         ),
         (
-            "selfprof",
-            "cargo run --release --features selfprof -p ktau-bench --bin perf_smoke -- --selfprof",
-        ),
-        (
-            "run_all_cold_cache",
-            "KTAU_RERUN=1 time cargo run --release -p ktau-bench --bin run_all, \
-             then rerun perf_smoke with KTAU_RUNALL_WALL_S=<seconds> KTAU_RUNALL_JOBS=1",
-        ),
-        (
-            "run_all_jobs_timing",
-            "cargo run --release -p ktau-bench --bin run_all -- --jobs N \
-             (each run merges its own timing row)",
+            "run_all_jobs_timing.jobs_1_cold",
+            "KTAU_RERUN=1 cargo run --release -p ktau-bench --bin run_all -- --jobs 1",
         ),
         (
             "fork_sweep",
-            "cargo run --release -p ktau-bench --bin fork_sweep",
+            "cargo run --release -p ktau-bench --bin fork_sweep -- --jobs 1",
         ),
     ];
     let mut missing = Vec::new();
-    for (key, fix) in required {
-        if matches!(doc.obj_get(key), serde_json::Value::Null) {
-            missing.push(format!("  {key}: null — fill with: {fix}"));
+    for (path, fix) in required {
+        let field = path.split('.').fold(&doc, |v, key| v.obj_get(key));
+        if matches!(field, serde_json::Value::Null) {
+            missing.push(format!("  {path}: missing — fill with: {fix}"));
         }
     }
     assert!(
         missing.is_empty(),
-        "BENCH_engine.json has unpopulated required fields:\n{}\n\
+        "BENCH_engine.json lacks required fields:\n{}\n\
          (see EXPERIMENTS.md for the full regeneration order)",
         missing.join("\n")
     );
-    eprintln!("[perf_smoke --check] BENCH_engine.json required fields all populated");
+    eprintln!("[perf_smoke --check] BENCH_engine.json has every required field");
     doc
 }
 
@@ -493,10 +361,6 @@ fn check_pinned_digests(doc: &serde_json::Value, cfg: &ConfigNumbers) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--selfprof") {
-        selfprof_pass();
-        return;
-    }
     let check = std::env::args().any(|a| a == "--check");
     let committed = check.then(check_bench_fields);
     let hz100 = measure_config(100);
@@ -538,56 +402,6 @@ fn main() {
         );
         eprintln!("[perf_smoke --check] equivalence + event-count gates passed");
     }
-    let seed_baseline = match (
-        std::env::var("KTAU_SEED_COMMIT"),
-        std::env::var("KTAU_SEED_WALL_S").map(|v| v.parse::<f64>()),
-    ) {
-        (Ok(commit), Ok(Ok(wall_s))) => Some(SeedBaseline {
-            commit,
-            wall_s,
-            speedup_vs_seed: wall_s / hz100.dynticks_engine.wall_s,
-        }),
-        _ => None,
-    };
-    let run_all_cold_cache = std::env::var("KTAU_RUNALL_WALL_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|wall_s| {
-            let env_u64 = |k: &str, d: u64| {
-                std::env::var(k)
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(d)
-            };
-            RunAllColdCache {
-                wall_s,
-                jobs: env_u64("KTAU_RUNALL_JOBS", 1),
-                host_cores: env_u64(
-                    "KTAU_RUNALL_CORES",
-                    std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-                ),
-                note: "independent runs fan out over --jobs workers; wall-time \
-                       gain requires a multi-core host"
-                    .into(),
-            }
-        });
-    // Preserve blocks other binaries maintain in the same file
-    // (read-modify-write): `run_all --jobs` timing rows and the
-    // `fork_sweep` amortization rows.
-    let prior = std::fs::read_to_string("BENCH_engine.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok());
-    let keep = |key: &str| {
-        prior.as_ref().and_then(|v| match v.obj_get(key) {
-            serde_json::Value::Null => None,
-            t => Some(t.clone()),
-        })
-    };
-    let run_all_jobs_timing = keep("run_all_jobs_timing");
-    let fork_sweep = keep("fork_sweep");
-    // The selfprof block needs an instrumented build; default builds carry
-    // the committed one forward (see `--selfprof`).
-    let selfprof = keep("selfprof");
     let report = Report {
         bench: "perf_smoke".into(),
         workload: format!(
@@ -597,20 +411,24 @@ fn main() {
         hz100,
         hz1000,
         queue_micro: queue_micro(),
-        selfprof,
-        seed_baseline,
-        run_all_cold_cache,
-        run_all_jobs_timing,
-        fork_sweep,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    println!("{json}");
+    }
+    .to_value();
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&report).expect("serialize report")
+    );
     if check {
         // Gate runs must be read-only: wall times vary run to run, and a
         // CI check that rewrites the benchmark artifact churns every row.
         eprintln!("[perf_smoke --check] read-only; BENCH_engine.json untouched");
-    } else {
-        std::fs::write("BENCH_engine.json", json + "\n").expect("write BENCH_engine.json");
-        eprintln!("[perf_smoke] wrote BENCH_engine.json");
+        return;
     }
+    let serde_json::Value::Obj(blocks) = report else {
+        unreachable!("a struct serializes to an object")
+    };
+    if let Err(e) = benchfile::set_blocks(benchfile::ENGINE, blocks) {
+        eprintln!("[perf_smoke] cannot record: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("[perf_smoke] wrote {}", benchfile::ENGINE);
 }

@@ -4,7 +4,7 @@
 //! are printed and cached in a fixed order, byte-identical to a serial run —
 //! the worker count never changes simulation output, only how the wall
 //! clock is spent.
-use ktau_bench::{jobs, prefetch, Config, Experiment};
+use ktau_bench::{benchfile, jobs, prefetch, Config, Experiment};
 use serde_json::Value;
 use std::time::Instant;
 
@@ -45,17 +45,10 @@ fn main() {
     println!("cache populated under results/");
 }
 
-/// Merges this run's timing into the `run_all_jobs_timing` block of
-/// `BENCH_engine.json` (without disturbing the engine numbers `perf_smoke`
-/// wrote there) so engine and harness throughput live in one benchmark
-/// artifact.  Rows are keyed by `(jobs, cold)`, so a `--jobs 1/2/4/8`
+/// Records this run's timing as row `jobs_<N>_<cold|warm>` of the
+/// `run_all_jobs_timing` block of `BENCH_engine.json`, so a `--jobs 1/2/4/8`
 /// sweep accumulates a scaling baseline instead of overwriting itself.
 fn record_timing(jobs: usize, wall_s: f64, experiments: usize, cold: bool) {
-    let path = "BENCH_engine.json";
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-        .unwrap_or(Value::Obj(Vec::new()));
     let row = Value::Obj(vec![
         ("jobs".to_owned(), Value::U64(jobs as u64)),
         ("experiments".to_owned(), Value::U64(experiments as u64)),
@@ -67,33 +60,9 @@ fn record_timing(jobs: usize, wall_s: f64, experiments: usize, cold: bool) {
         ),
     ]);
     let key = format!("jobs_{jobs}_{}", if cold { "cold" } else { "warm" });
-    if let Value::Obj(fields) = &mut root {
-        // The timing block maps row keys to row objects; any older flat
-        // layout is replaced wholesale.
-        let block = match fields.iter_mut().find(|(k, _)| k == "run_all_jobs_timing") {
-            Some((_, v)) => {
-                if !matches!(v, Value::Obj(rows) if rows.iter().all(|(_, r)| matches!(r, Value::Obj(_))))
-                {
-                    *v = Value::Obj(Vec::new());
-                }
-                v
-            }
-            None => {
-                fields.push(("run_all_jobs_timing".to_owned(), Value::Obj(Vec::new())));
-                &mut fields.last_mut().unwrap().1
-            }
-        };
-        if let Value::Obj(rows) = block {
-            match rows.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => *v = row,
-                None => {
-                    rows.push((key, row));
-                    rows.sort_by(|a, b| a.0.cmp(&b.0));
-                }
-            }
-        }
-        if let Ok(s) = serde_json::to_string_pretty(&root) {
-            let _ = std::fs::write(path, s);
-        }
+    if let Err(e) = benchfile::set_row(benchfile::ENGINE, "run_all_jobs_timing", &key, row) {
+        eprintln!("[run_all] cannot record timing: {e}");
+        std::process::exit(1);
     }
+    println!("[run_all] {key} row written to {}", benchfile::ENGINE);
 }

@@ -13,10 +13,12 @@
 //! `fault_scenarios` (the flaky-link fault-injection showcase),
 //! `fork_sweep` (warm-prefix scenario sweeps forked from a mid-run engine
 //! snapshot, plus the fork-determinism CI gate), and `run_all` to
-//! regenerate everything.
+//! regenerate everything.  `perf_smoke`, `run_all` and `fork_sweep` record
+//! their timings in `BENCH_engine.json` through [`benchfile`].
 
 #![warn(missing_docs)]
 
+pub mod benchfile;
 pub mod controlled;
 pub mod faults;
 pub mod forksweep;
