@@ -29,7 +29,7 @@ use ktau_core::time::NS_PER_SEC;
 use serde_json::Value;
 use std::time::Instant;
 
-/// Variant spot-checked on the reference (all-heap) engine.
+/// Variant spot-checked on the reference engine.
 const REFERENCE_VARIANT: &str = "faults_moderate";
 
 fn main() {

@@ -35,7 +35,7 @@ fn main() {
         exps.len()
     );
     if cold {
-        record_timing(j, wall, exps.len(), cold);
+        record_timing(j, wall, exps.len());
     } else {
         // Warm runs mostly replay the results cache; their wall time says
         // nothing stable about the engine, and recording it would churn
@@ -45,21 +45,21 @@ fn main() {
     println!("cache populated under results/");
 }
 
-/// Records this run's timing as row `jobs_<N>_<cold|warm>` of the
+/// Records a cold run's timing as row `jobs_<N>_cold` of the
 /// `run_all_jobs_timing` block of `BENCH_engine.json`, so a `--jobs 1/2/4/8`
 /// sweep accumulates a scaling baseline instead of overwriting itself.
-fn record_timing(jobs: usize, wall_s: f64, experiments: usize, cold: bool) {
+fn record_timing(jobs: usize, wall_s: f64, experiments: usize) {
     let row = Value::Obj(vec![
         ("jobs".to_owned(), Value::U64(jobs as u64)),
         ("experiments".to_owned(), Value::U64(experiments as u64)),
         ("wall_s".to_owned(), Value::F64(wall_s)),
-        ("cold".to_owned(), Value::Bool(cold)),
+        ("cold".to_owned(), Value::Bool(true)),
         (
             "host_cores".to_owned(),
             Value::U64(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
         ),
     ]);
-    let key = format!("jobs_{jobs}_{}", if cold { "cold" } else { "warm" });
+    let key = format!("jobs_{jobs}_cold");
     if let Err(e) = benchfile::set_row(benchfile::ENGINE, "run_all_jobs_timing", &key, row) {
         eprintln!("[run_all] cannot record timing: {e}");
         std::process::exit(1);

@@ -1,5 +1,5 @@
 //! Cross-crate determinism regression: the whole stack — cluster boot, the
-//! tick-lane event queue, the scheduler, the network fabric, noise daemons,
+//! event queue, the scheduler, the network fabric, noise daemons,
 //! MPI launch, and record extraction — must produce bit-identical results
 //! for the same seed, and the parallel fan-out must never change what a
 //! serial run would have produced.
@@ -42,7 +42,7 @@ fn dynticks_engine_matches_reference_engine() {
     let reference = run_on(Cluster::new_reference_engine(ClusterSpec::chiba(4)));
     assert_eq!(
         dynticks, reference,
-        "dynticks engine diverged from the all-heap reference engine"
+        "dynticks engine diverged from the reference engine"
     );
 }
 

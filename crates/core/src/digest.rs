@@ -1,6 +1,6 @@
 //! FNV-1a state digests and the `KTAD` content check.
 //!
-//! The dynticks engine and the all-heap reference engine must leave the
+//! The dynticks engine and the reference engine must leave the
 //! cluster in bit-identical externally-observable state for the same
 //! workload.  That property is enforced by folding all of it into one 64-bit
 //! FNV-1a hash: virtual time, per-CPU accounting, per-task scheduler state

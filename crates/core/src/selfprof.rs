@@ -20,7 +20,6 @@
 //! | `push_cur`         | push landed in the sorted current-slot run           |
 //! | `push_wheel`       | push landed in an unsorted future wheel bucket       |
 //! | `push_overflow`    | push landed in the beyond-horizon overflow heap      |
-//! | `push_lane`        | push landed in the tick-lane min-heap                |
 //! | `slab_hit`         | payload slot reused from the free list               |
 //! | `slab_miss`        | slab had to grow for a payload                       |
 //! | `key_cmp`          | one `(time, point, seq)` key comparison anywhere in  |
@@ -48,8 +47,6 @@ pub enum Counter {
     PushWheel,
     /// Pushes landing in the overflow min-heap.
     PushOverflow,
-    /// Pushes landing in the tick-lane min-heap.
-    PushLane,
     /// Slab slots reused from the free list.
     SlabHit,
     /// Slab growths (no free slot available).
@@ -63,7 +60,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 11;
+pub const NUM_COUNTERS: usize = 10;
 
 /// Printable names, index-aligned with [`Counter`].
 pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
@@ -72,7 +69,6 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "push_cur",
     "push_wheel",
     "push_overflow",
-    "push_lane",
     "slab_hit",
     "slab_miss",
     "key_cmp",

@@ -116,16 +116,6 @@ impl Event {
     }
 }
 
-/// One armed per-CPU timer interrupt, kept out of the main heap.
-#[derive(Debug, Clone, Copy)]
-struct TickLane {
-    time: Ns,
-    point: Ns,
-    seq: u64,
-    node: u32,
-    cpu: u8,
-}
-
 /// Wheel slot width as a power of two: `1 << 15` ns ≈ 32.8 µs per slot.
 /// Measured on the LU-16 workload, ~70% of pushes land 4 µs–1 ms ahead of
 /// now; this granularity keeps typical slots one or two events deep, which
@@ -167,16 +157,13 @@ impl QKey {
     }
 }
 
-/// Indexed two-tier priority queue over `(time, push-point, fifo-sequence)`.
+/// Indexed priority queue over `(time, push-point, fifo-sequence)`.
 ///
 /// Event payloads live exactly once in a free-listed slab; everything that
-/// orders them moves only 32-byte [`QKey`]s.  Three tiers share one total
-/// order:
+/// orders them moves only 32-byte [`QKey`]s.  Every event, armed timer
+/// ticks included, goes to one of two tiers that share one total order:
 ///
-/// * **Tick lanes** — periodic [`Event::Tick`]s dominate the event
-///   population (HZ per CPU per node), yet at any instant exactly one is
-///   armed per CPU, so they live in a dedicated min-heap sized by CPU count.
-/// * **Time wheel** — everything else lands by target slot
+/// * **Time wheel** — events land by target slot
 ///   (`time >> WHEEL_SHIFT`).  Future slots within the `WHEEL_SLOTS`
 ///   horizon are unsorted buckets, ordered *once* when they mature into
 ///   the drain run `cur` — sorted descending below [`CUR_HEAP_MIN`]
@@ -189,18 +176,17 @@ impl QKey {
 ///   (an always-sorted drain run degraded to O(bucket) memmoves per push
 ///   there; an always-heap run taxed every small-bucket pop with sifts).
 /// * **Overflow heap** — entries beyond the wheel horizon.  They are never
-///   migrated; `pop` simply compares the overflow minimum against the other
-///   tiers, which keeps the order exact without re-homing churn.
+///   migrated; a pop simply compares the overflow minimum against the drain
+///   run's, which keeps the order exact without re-homing churn.
 ///
 /// Ordering proof sketch: `cur` holds only keys with slot ≤ `cur_slot`,
 /// wheel buckets only slots in `(cur_slot, cur_slot + WHEEL_SLOTS]`, so
 /// every bucket key is strictly later than every `cur` key (slot is a
 /// monotone function of time) and the earliest non-empty bucket holds the
-/// wheel's global minimum.  `pop` therefore takes the minimum of three
-/// ordered structures — `cur` root, `overflow` root, lane root — under
-/// the full `(time, point, seq)` key, which is exactly the single-heap
-/// order; a unit test plus a property test against a `BinaryHeap` model
-/// pin this.
+/// wheel's global minimum.  A pop therefore takes the minimum of two
+/// ordered structures — `cur` root and `overflow` root — under the full
+/// `(time, point, seq)` key, which is exactly the single-heap order; a
+/// property test against a `BinaryHeap` model pins this.
 #[derive(Debug, Clone)]
 pub struct EventQueue {
     /// Event payloads, indexed by [`QKey::handle`].
@@ -240,7 +226,6 @@ pub struct EventQueue {
     /// [`heap_push`]/[`heap_pop`]) so key comparisons stay countable by the
     /// self-profiler.
     overflow: Vec<QKey>,
-    lanes: Vec<TickLane>,
     seq: u64,
     /// Simulated time of the dispatch currently executing; every `push`
     /// records it as the entry's *push point*.  Queue order is
@@ -249,20 +234,17 @@ pub struct EventQueue {
     /// point exists so the dynticks engine can replay reference tie-breaks
     /// between a parked tick and an event firing at the same nanosecond.
     now: Ns,
-    /// When false, ticks share the wheel/heap tiers (reference mode).
-    use_lanes: bool,
 }
 
 impl Default for EventQueue {
-    /// Matches [`EventQueue::new_all_heap`] (no tick lanes), the historical
-    /// `derive(Default)` behaviour.
     fn default() -> Self {
-        EventQueue::make(false)
+        EventQueue::new()
     }
 }
 
 impl EventQueue {
-    fn make(use_lanes: bool) -> Self {
+    /// An empty queue.
+    pub fn new() -> Self {
         EventQueue {
             slab: Vec::new(),
             free: Vec::new(),
@@ -273,23 +255,9 @@ impl EventQueue {
             wheel_len: 0,
             wheel_bits: [0; WHEEL_WORDS],
             overflow: Vec::new(),
-            lanes: Vec::new(),
             seq: 0,
             now: 0,
-            use_lanes,
         }
-    }
-
-    /// An empty queue with tick lanes enabled.
-    pub fn new() -> Self {
-        EventQueue::make(true)
-    }
-
-    /// Reference queue keeping every event, ticks included, in the shared
-    /// wheel/heap tiers.  Exists so tests can prove lane ordering
-    /// equivalence.
-    pub fn new_all_heap() -> Self {
-        EventQueue::make(false)
     }
 
     /// Schedules `ev` at absolute time `at`, stamped with the current
@@ -305,19 +273,6 @@ impl EventQueue {
     pub fn push_at(&mut self, at: Ns, ev: Event, point: Ns) {
         self.seq += 1;
         selfprof::inc(SpCounter::QueuePush);
-        if self.use_lanes {
-            if let Event::Tick { node, cpu } = ev {
-                selfprof::inc(SpCounter::PushLane);
-                self.lane_insert(TickLane {
-                    time: at,
-                    point,
-                    seq: self.seq,
-                    node,
-                    cpu,
-                });
-                return;
-            }
-        }
         let handle = self.alloc(ev);
         self.insert_key(QKey {
             time: at,
@@ -464,88 +419,41 @@ impl EventQueue {
         }
     }
 
-    /// Pops the earliest event under the global `(time, point, seq)` order.
-    pub fn pop(&mut self) -> Option<(Ns, Event)> {
-        self.pop_full().map(|(t, _, ev)| (t, ev))
-    }
-
-    /// Like [`pop`](Self::pop) but also returns the event's push point.
-    pub fn pop_full(&mut self) -> Option<(Ns, Ns, Event)> {
-        self.pop_due(Ns::MAX)
-    }
-
-    /// Pops the earliest pending event if its time is at most `deadline`;
-    /// a later event stays queued (callers' deadline diagnostics must find
-    /// it still inspectable).  Fusing the bound check into the pop lets the
-    /// dispatch loop run one three-way selection per event instead of a
-    /// `peek_time` + `pop_full` pair.
+    /// Pops the earliest pending event under the global
+    /// `(time, point, seq)` order, with its push point, if its time is at
+    /// most `deadline`; a later event stays queued (callers' deadline
+    /// diagnostics must find it still inspectable).  `Ns::MAX` pops
+    /// unconditionally.
     pub fn pop_due(&mut self, deadline: Ns) -> Option<(Ns, Ns, Event)> {
         self.mature();
-        // Tier selection, cheapest-first: the drain run almost always wins,
-        // the overflow heap is empty outside long daemon sleeps, and lanes
-        // only exist in the dynticks engine.  Keys are unique (`seq`), so
-        // strict comparison is unambiguous; two comparisons pick the
-        // minimum.
-        selfprof::add(SpCounter::KeyCmp, 2);
-        let mut src: u8 = 0;
-        let mut best = (Ns::MAX, Ns::MAX, u64::MAX);
-        if let Some(k) = self.cur_min() {
-            best = k.key();
-            src = 1;
-        }
-        if let Some(k) = self.overflow.first() {
-            let kk = k.key();
-            if src == 0 || kk < best {
-                best = kk;
-                src = 2;
-            }
-        }
-        if let Some(l) = self.lanes.first() {
-            let lk = (l.time, l.point, l.seq);
-            if src == 0 || lk < best {
-                best = lk;
-                src = 3;
-            }
-        }
-        if src == 0 || best.0 > deadline {
+        // Tier selection: the drain run almost always wins, and the
+        // overflow heap is empty outside long daemon sleeps.  Keys are
+        // unique (`seq`), so one strict comparison picks the minimum.
+        selfprof::inc(SpCounter::KeyCmp);
+        let (from_cur, time) = match (self.cur_min(), self.overflow.first()) {
+            (Some(c), Some(o)) if o.key() < c.key() => (false, o.time),
+            (Some(c), _) => (true, c.time),
+            (None, Some(o)) => (false, o.time),
+            (None, None) => return None,
+        };
+        if time > deadline {
             return None;
         }
         selfprof::inc(SpCounter::QueuePop);
-        if src == 3 {
-            let lane = self.lane_remove_root();
-            return Some((
-                lane.time,
-                lane.point,
-                Event::Tick {
-                    node: lane.node,
-                    cpu: lane.cpu,
-                },
-            ));
-        }
-        let k = if src == 1 {
-            self.cur_pop().expect("selected from cur")
+        let k = if from_cur {
+            self.cur_pop()
         } else {
-            heap_pop(&mut self.overflow).expect("selected from overflow")
-        };
+            heap_pop(&mut self.overflow)
+        }
+        .expect("selected tier is non-empty");
         let ev = self.slab[k.handle as usize];
         self.free.push(k.handle);
         Some((k.time, k.point, ev))
     }
 
-    /// Time of the earliest pending event without removing it.  Takes
-    /// `&mut self` because locating the wheel minimum may mature the next
-    /// slot into the drain run — observable queue contents are unchanged.
-    pub fn peek_time(&mut self) -> Option<Ns> {
-        self.mature();
-        let cur_t = self.cur_min().map(|k| k.time);
-        let ovf_t = self.overflow.first().map(|k| k.time);
-        let lane_t = self.lanes.first().map(|l| l.time);
-        [cur_t, ovf_t, lane_t].into_iter().flatten().min()
-    }
-
     /// Number of pending events (armed ticks included).
     pub fn len(&self) -> usize {
-        self.cur.len() + self.wheel_len + self.overflow.len() + self.lanes.len()
+        self.cur.len() + self.wheel_len + self.overflow.len()
     }
 
     /// True when nothing is scheduled.
@@ -553,7 +461,7 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Every non-lane entry's key, in no particular order.
+    /// Every entry's key, in no particular order.
     fn iter_keys(&self) -> impl Iterator<Item = &QKey> {
         self.cur
             .iter()
@@ -569,7 +477,6 @@ impl EventQueue {
     pub fn pending_summary(&self) -> PendingSummary {
         let mut s = PendingSummary {
             total: self.len(),
-            tick: self.lanes.len(),
             ..PendingSummary::default()
         };
         for ev in self.iter_keys().map(|k| &self.slab[k.handle as usize]) {
@@ -589,17 +496,9 @@ impl EventQueue {
 
     // -- engine snapshot codec ----------------------------------------------
 
-    /// True when ticks live in the dedicated lane heap: the dynticks engine
-    /// (the all-heap reference engine keeps ticks in the shared tiers).
-    #[inline]
-    pub(crate) fn uses_lanes(&self) -> bool {
-        self.use_lanes
-    }
-
     /// Serializes the queue: `now`, the FIFO sequence counter, and every
     /// pending entry as `(time, push point, seq, event)` in canonical
-    /// `(time, point, seq)` order.  Heap and lane entries are merged into
-    /// one list; the mode flag decides where each lands again on decode.
+    /// `(time, point, seq)` order.
     pub(crate) fn encode_wire(&self, w: &mut ktau_core::wire::Writer) {
         w.u64(self.now);
         w.u64(self.seq);
@@ -607,17 +506,6 @@ impl EventQueue {
             .iter_keys()
             .map(|k| (k.time, k.point, k.seq, self.slab[k.handle as usize]))
             .collect();
-        entries.extend(self.lanes.iter().map(|l| {
-            (
-                l.time,
-                l.point,
-                l.seq,
-                Event::Tick {
-                    node: l.node,
-                    cpu: l.cpu,
-                },
-            )
-        }));
         entries.sort_unstable_by_key(|&(t, p, s, _)| (t, p, s));
         w.u32(entries.len() as u32);
         for (t, p, s, ev) in entries {
@@ -628,20 +516,15 @@ impl EventQueue {
         }
     }
 
-    /// Rebuilds a queue from [`EventQueue::encode_wire`] bytes in the given
-    /// engine mode.  Each entry keeps its exact `(time, point, seq)` key, so
-    /// the pop sequence is bit-identical to the captured queue's.  Events
-    /// must address one of the cluster's `nodes`.
+    /// Rebuilds a queue from [`EventQueue::encode_wire`] bytes.  Each entry
+    /// keeps its exact `(time, point, seq)` key, so the pop sequence is
+    /// bit-identical to the captured queue's.  Events must address one of
+    /// the cluster's `nodes`.
     pub(crate) fn decode_wire(
         r: &mut ktau_core::wire::Reader<'_>,
-        use_lanes: bool,
         nodes: usize,
     ) -> Result<EventQueue, ktau_core::wire::CodecError> {
-        let mut q = if use_lanes {
-            EventQueue::new()
-        } else {
-            EventQueue::new_all_heap()
-        };
+        let mut q = EventQueue::new();
         q.now = r.u64()?;
         q.seq = r.u64()?;
         // Start the drain position at `now`'s slot: pending entries at the
@@ -658,18 +541,6 @@ impl EventQueue {
             if ev.node() as usize >= nodes {
                 return Err(ktau_core::wire::CodecError::Corrupt("event node"));
             }
-            if use_lanes {
-                if let Event::Tick { node, cpu } = ev {
-                    q.lane_insert(TickLane {
-                        time,
-                        point,
-                        seq,
-                        node,
-                        cpu,
-                    });
-                    continue;
-                }
-            }
             let handle = q.alloc(ev);
             q.insert_key(QKey {
                 time,
@@ -680,51 +551,6 @@ impl EventQueue {
         }
         Ok(q)
     }
-
-    // -- tick-lane min-heap (keyed by `(time, seq)`) -------------------------
-
-    fn lane_insert(&mut self, lane: TickLane) {
-        self.lanes.push(lane);
-        let mut i = self.lanes.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            selfprof::inc(SpCounter::KeyCmp);
-            if lane_key(&self.lanes[i]) < lane_key(&self.lanes[parent]) {
-                self.lanes.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn lane_remove_root(&mut self) -> TickLane {
-        let root = self.lanes.swap_remove(0);
-        let len = self.lanes.len();
-        let mut i = 0;
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            selfprof::add(SpCounter::KeyCmp, 2);
-            if l < len && lane_key(&self.lanes[l]) < lane_key(&self.lanes[smallest]) {
-                smallest = l;
-            }
-            if r < len && lane_key(&self.lanes[r]) < lane_key(&self.lanes[smallest]) {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.lanes.swap(i, smallest);
-            i = smallest;
-        }
-        root
-    }
-}
-
-#[inline]
-fn lane_key(l: &TickLane) -> (Ns, u64) {
-    (l.time, l.seq)
 }
 
 /// Floyd heapify: turns an arbitrary key array into a min-heap in O(len),
@@ -1013,6 +839,8 @@ pub struct Cluster {
     pub(crate) events_processed: u64,
     pub(crate) ticks_dispatched: u64,
     pub(crate) spec: ClusterSpec,
+    /// The engine flag, fixed at boot: see [`Cluster::coalesce_ticks`].
+    dynticks: bool,
 }
 
 impl Cluster {
@@ -1024,23 +852,17 @@ impl Cluster {
         Cluster::boot(spec, true)
     }
 
-    /// Boots with the all-heap reference engine: no tick lanes, every tick
-    /// dispatched individually.  Simulated behaviour is identical to
+    /// Boots with the reference engine: every tick dispatched individually.  Simulated behaviour is identical to
     /// [`Cluster::new`]; this is the independent oracle equivalence tests
     /// and benchmarks check the dynticks engine against.
     pub fn new_reference_engine(spec: ClusterSpec) -> Self {
         Cluster::boot(spec, false)
     }
 
-    /// Boots the dynticks engine (`dynticks`: tick lanes plus coalescing)
-    /// or the reference engine.  The queue's lane mode is the one engine
-    /// flag; [`Cluster::coalesce_ticks`] reads it back.
+    /// Boots the dynticks engine (`dynticks`: tick coalescing and
+    /// `TxDone` elision) or the reference engine.
     pub(crate) fn boot(spec: ClusterSpec, dynticks: bool) -> Self {
-        let mut queue = if dynticks {
-            EventQueue::new()
-        } else {
-            EventQueue::new_all_heap()
-        };
+        let mut queue = EventQueue::new();
         let fabric = Fabric::new(spec.fabric_latency_ns);
         let control = std::sync::Arc::new(spec.control.clone());
         let mut nodes = Vec::with_capacity(spec.nodes.len());
@@ -1091,6 +913,7 @@ impl Cluster {
             events_processed: 0,
             ticks_dispatched: 0,
             spec,
+            dynticks,
         };
         cluster.spawn_noise();
         cluster
@@ -1155,7 +978,7 @@ impl Cluster {
     /// engine's.
     #[inline]
     pub(crate) fn coalesce_ticks(&self) -> bool {
-        self.queue.uses_lanes()
+        self.dynticks
     }
 
     /// The cluster spec this was booted from.
@@ -1234,7 +1057,7 @@ impl Cluster {
 
     /// Dispatches one event: settles the target node's parked ticks up to
     /// the event time, runs the handler, and re-parks or re-arms the node's
-    /// tick lanes.
+    /// ticks.
     fn handle(&mut self, at: Ns, point: Ns, ev: Event) {
         self.now = at;
         self.events_processed += 1;
@@ -1396,7 +1219,7 @@ impl Cluster {
                     exited += self.nodes[ni].apps_exited - before;
                     debug_assert_eq!(exited, self.apps_exited());
                 }
-                None if self.queue.peek_time().is_some() => {
+                None if !self.queue.is_empty() => {
                     let stuck = self.stuck_report();
                     panic!(
                         "virtual deadline {deadline_ns} ns exceeded (possible deadlock) with {} of {} app tasks remaining:\n{stuck}",
@@ -1455,11 +1278,7 @@ impl Cluster {
     /// Runs for `dur` nanoseconds of virtual time.
     pub fn run_for(&mut self, dur: Ns) -> Ns {
         let end = self.now + dur;
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
-            }
-            let (t, p, ev) = self.queue.pop_full().unwrap();
+        while let Some((t, p, ev)) = self.queue.pop_due(end) {
             self.handle(t, p, ev);
         }
         // The reference engine dispatches ticks *at* `end` too (`t <= end`
@@ -1551,130 +1370,30 @@ impl Cluster {
 mod tests {
     use super::*;
 
-    fn mixed_event(node: u32, i: u64) -> Event {
-        match i % 7 {
-            0 => Event::Tick {
-                node,
-                cpu: (i % 2) as u8,
-            },
-            1 => Event::CpuDone {
-                node,
-                cpu: (i % 2) as u8,
-                gen: i,
-            },
-            2 => Event::SegArrive {
-                node,
-                conn: ConnId((i % 3) as u32),
-                seq: i,
-                payload: 1448,
-            },
-            3 => Event::TxDone {
-                node,
-                conn: ConnId((i % 3) as u32),
-                payload: 512,
-            },
-            4 => Event::AckArrive {
-                node,
-                conn: ConnId((i % 3) as u32),
-                ack_seq: i,
-            },
-            5 => Event::RtxTimer {
-                node,
-                conn: ConnId((i % 3) as u32),
-                gen: i,
-            },
-            _ => Event::Wake {
-                node,
-                pid: Pid((i % 7) as u32 + 1),
-            },
-        }
-    }
-
-    /// The tick-lane queue must produce the exact pop sequence of a single
-    /// shared heap, under interleaved pushes and pops with colliding times.
-    #[test]
-    fn lanes_match_all_heap_ordering() {
-        let mut lanes = EventQueue::new();
-        let mut reference = EventQueue::new_all_heap();
-        // Deterministic scramble with many equal timestamps to stress the
-        // FIFO tie-break across the lane/heap boundary.
-        let mut state = 0x0123_4567_89AB_CDEFu64;
-        let step = |s: &mut u64| {
-            *s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *s >> 33
-        };
-        let mut popped = 0;
-        for round in 0..2000u64 {
-            let r = step(&mut state);
-            let at = (r % 50) * 10; // heavy time collisions
-            let ev = mixed_event((r % 4) as u32, r);
-            lanes.push(at, ev);
-            reference.push(at, ev);
-            if round % 3 == 0 {
-                let (a, b) = (lanes.pop(), reference.pop());
-                assert_eq!(a, b, "divergence at round {round}");
-                popped += 1;
-            }
-            assert_eq!(lanes.len(), reference.len());
-            assert_eq!(lanes.peek_time(), reference.peek_time());
-        }
-        while let Some(b) = reference.pop() {
-            assert_eq!(lanes.pop(), Some(b));
-            popped += 1;
-        }
-        assert!(lanes.is_empty());
-        assert_eq!(popped, 2000);
-    }
-
     /// Re-armed ticks keep their FIFO position relative to same-time events.
     #[test]
     fn tick_rearm_preserves_fifo() {
+        fn pop(q: &mut EventQueue) -> Option<(Ns, Event)> {
+            q.pop_due(Ns::MAX).map(|(t, _, ev)| (t, ev))
+        }
+        let tick = Event::Tick { node: 0, cpu: 0 };
+        let wake = |node, pid| Event::Wake {
+            node,
+            pid: Pid(pid),
+        };
         let mut q = EventQueue::new();
-        q.push(100, Event::Tick { node: 0, cpu: 0 });
-        q.push(
-            100,
-            Event::Wake {
-                node: 0,
-                pid: Pid(3),
-            },
-        );
+        q.push(100, tick);
+        q.push(100, wake(0, 3));
         // Tick pushed first wins the time tie.
-        let (t, ev) = q.pop().unwrap();
-        assert_eq!((t, ev), (100, Event::Tick { node: 0, cpu: 0 }));
+        assert_eq!(pop(&mut q), Some((100, tick)));
         // Re-arm after pushing another same-time event: the wake now has the
         // older seq and must come out first.
-        q.push(
-            200,
-            Event::Wake {
-                node: 1,
-                pid: Pid(4),
-            },
-        );
-        q.push(200, Event::Tick { node: 0, cpu: 0 });
-        assert_eq!(
-            q.pop(),
-            Some((
-                100,
-                Event::Wake {
-                    node: 0,
-                    pid: Pid(3)
-                }
-            ))
-        );
-        assert_eq!(
-            q.pop(),
-            Some((
-                200,
-                Event::Wake {
-                    node: 1,
-                    pid: Pid(4)
-                }
-            ))
-        );
-        assert_eq!(q.pop(), Some((200, Event::Tick { node: 0, cpu: 0 })));
-        assert!(q.pop().is_none());
+        q.push(200, wake(1, 4));
+        q.push(200, tick);
+        assert_eq!(pop(&mut q), Some((100, wake(0, 3))));
+        assert_eq!(pop(&mut q), Some((200, wake(1, 4))));
+        assert_eq!(pop(&mut q), Some((200, tick)));
+        assert!(pop(&mut q).is_none());
         assert!(q.is_empty());
     }
 
@@ -1706,9 +1425,9 @@ mod tests {
         );
     }
 
-    /// `len`/`pending_summary` count armed ticks that live in the lanes.
+    /// `len`/`pending_summary` count armed ticks alongside other events.
     #[test]
-    fn summary_counts_lanes() {
+    fn summary_counts_ticks() {
         let mut q = EventQueue::new();
         q.push(10, Event::Tick { node: 0, cpu: 0 });
         q.push(20, Event::Tick { node: 1, cpu: 0 });

@@ -2,7 +2,7 @@
 //! and [`Cluster::snapshot`] / [`Cluster::resume`].
 //!
 //! A snapshot captures *everything* the event loop will ever read — the
-//! event queue (heap and tick lanes, with explicit sequence numbers), every
+//! event queue (every pending entry, with explicit sequence numbers), every
 //! node's scheduler/socket/fault/measurement state, the fabric's open
 //! links, and the spec the cluster was booted from — into one versioned
 //! binary image following the repo-wide KTAU codec discipline (4-byte
@@ -464,8 +464,8 @@ impl ClusterSnapshot {
         }
         // Skip the spec (variable length) by decoding it.
         decode_spec(&mut r)?;
-        r.bool()?; // coalesce_ticks
-        r.bool()?; // uses_lanes
+        r.bool()?; // engine flag
+        r.bool()?; // engine flag, again
         r.u64()
     }
 }
@@ -489,11 +489,10 @@ impl Cluster {
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         encode_spec(&mut w, &self.spec);
-        // The engine mode, twice: as the coalescing flag and as the queue's
-        // lane flag.  The image layout keeps both bytes; resume rejects an
-        // image where they disagree.
+        // The engine flag, twice: the v3 layout has two engine-mode bytes,
+        // and resume rejects an image where they disagree.
         w.bool(self.coalesce_ticks());
-        w.bool(self.queue.uses_lanes());
+        w.bool(self.coalesce_ticks());
         w.u64(self.now);
         w.u64(self.apps_spawned);
         w.u64(self.events_processed);
@@ -548,9 +547,8 @@ impl Cluster {
             return Err(CodecError::BadVersion(v));
         }
         let spec = decode_spec(&mut r)?;
-        let coalesce_ticks = r.bool()?;
-        let use_lanes = r.bool()?;
-        if coalesce_ticks != use_lanes {
+        let dynticks = r.bool()?;
+        if r.bool()? != dynticks {
             return Err(CodecError::Corrupt("engine mode"));
         }
         let now = r.u64()?;
@@ -569,7 +567,7 @@ impl Cluster {
             }
             links.push(LinkSpec { src_node, dst_node });
         }
-        let queue = EventQueue::decode_wire(&mut r, use_lanes, nodes)?;
+        let queue = EventQueue::decode_wire(&mut r, nodes)?;
         if r.u32()? as usize != nodes {
             return Err(CodecError::BadField("node count"));
         }
@@ -581,7 +579,7 @@ impl Cluster {
         if nodes.saturating_add(daemons) > r.remaining() {
             return Err(CodecError::Corrupt("noise daemon count"));
         }
-        let mut cluster = Cluster::boot(spec, use_lanes);
+        let mut cluster = Cluster::boot(spec, dynticks);
         let mut needs_program = 0usize;
         for node in &mut cluster.nodes {
             needs_program += node.apply_state(&mut r)?.len();
@@ -622,7 +620,7 @@ impl Cluster {
     /// to a forked and an uninterrupted cluster yields digest-identical
     /// futures.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        // Parked dynticks lanes assumed the pre-mutation state: settle and
+        // Parked dynticks ticks assumed the pre-mutation state: settle and
         // re-arm them before touching fault machinery.
         for id in 0..self.nodes.len() as u32 {
             let _ = self.node_mut(id);
@@ -780,6 +778,35 @@ mod tests {
                 Cluster::resume(&snap.with_image(image)),
                 Err(CodecError::Corrupt("engine mode"))
             ));
+        }
+    }
+
+    /// The `KTAS` image bytes of a fixed mid-run cluster on each engine.  A
+    /// traced task keeps its CPU's ticks armed in the event queue, so the
+    /// pin covers queued ticks on the dynticks engine too.  A change to the
+    /// image layout, or to the order in which queued entries are written,
+    /// moves these checks.
+    #[test]
+    fn chiba2_image_is_pinned() {
+        for (mut c, want) in [
+            (Cluster::new(ClusterSpec::chiba(2)), 0x4c51_e3f8_c76a_48c2),
+            (
+                Cluster::new_reference_engine(ClusterSpec::chiba(2)),
+                0x7172_c231_24b1_cedd,
+            ),
+        ] {
+            c.spawn(
+                0,
+                crate::TaskSpec::app(
+                    "pinned",
+                    Box::new(crate::OpList::new(vec![crate::Op::Compute(1_000_000_000)])),
+                )
+                .traced(),
+            );
+            c.run_for(5_000_000);
+            assert!(c.queue.pending_summary().tick > 0);
+            let check = ktau_core::digest::content_check(c.snapshot().image());
+            assert_eq!(check, want, "image check {check:#018x}");
         }
     }
 

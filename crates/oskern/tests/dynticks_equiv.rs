@@ -189,7 +189,7 @@ proptest! {
 // matches the same mutation applied to an uninterrupted run.
 // ---------------------------------------------------------------------------
 
-/// Boots the spec under the dynticks engine or the all-heap reference.
+/// Boots the spec under the dynticks engine or the reference engine.
 fn boot_engine(spec: ClusterSpec, dynticks: bool) -> Cluster {
     if dynticks {
         Cluster::new(spec)

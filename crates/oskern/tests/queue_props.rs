@@ -29,7 +29,7 @@ enum QOp {
     PushAt { delta: u64, back: u64 },
     /// `pop_due(now + slack)`: pops only if the minimum is near enough.
     PopDue { slack: u64 },
-    /// Unbounded `pop_full`.
+    /// Unbounded `pop_due(Ns::MAX)`.
     Pop,
 }
 
@@ -87,15 +87,11 @@ impl ModelQueue {
 }
 
 /// Runs one op script against both queues, checking every pop result, then
-/// drains both to the end.  `use_lanes` selects `EventQueue::new()` (ticks
-/// in dedicated lanes) vs `new_all_heap()`; a third of pushes are `Tick`
-/// events so the lane tier participates in the comparison.
-fn check_script(ops: &[QOp], use_lanes: bool) -> Result<(), TestCaseError> {
-    let mut q = if use_lanes {
-        EventQueue::new()
-    } else {
-        EventQueue::new_all_heap()
-    };
+/// drains both to the end.  With `with_ticks`, every third push is a `Tick`
+/// event, which shares the tiers with every other event; without it every
+/// payload is distinct.
+fn check_script(ops: &[QOp], with_ticks: bool) -> Result<(), TestCaseError> {
+    let mut q = EventQueue::new();
     let mut m = ModelQueue::default();
     let mut now: Ns = 0;
     let mut pushed: u64 = 0;
@@ -114,9 +110,9 @@ fn check_script(ops: &[QOp], use_lanes: bool) -> Result<(), TestCaseError> {
             QOp::Push { delta } => {
                 pushed += 1;
                 // `gen` makes every payload distinguishable, so a slab
-                // mix-up cannot masquerade as a correct pop; every third
-                // push is a Tick to exercise the lane tier.
-                let ev = if pushed.is_multiple_of(3) {
+                // mix-up cannot masquerade as a correct pop; with ticks,
+                // every third push is a Tick.
+                let ev = if with_ticks && pushed.is_multiple_of(3) {
                     Event::Tick {
                         node: (pushed % 7) as u32,
                         cpu: (pushed % 2) as u8,
@@ -152,14 +148,15 @@ fn check_script(ops: &[QOp], use_lanes: bool) -> Result<(), TestCaseError> {
     while !m.heap.is_empty() {
         step(&mut q, &mut m, &mut now, Ns::MAX)?;
     }
-    prop_assert_eq!(q.pop_full(), None);
+    prop_assert_eq!(q.pop_due(Ns::MAX), None);
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Lane-enabled queue (the dynticks engine's configuration).
+    /// Named for the tick lanes that armed ticks once lived in: a third of
+    /// pushes are `Tick` events, now queued in the same tiers as the rest.
     #[test]
     fn queue_matches_heap_model_with_lanes(
         ops in proptest::collection::vec(arb_op(), 1..120)
@@ -167,7 +164,8 @@ proptest! {
         check_script(&ops, true)?;
     }
 
-    /// All-heap queue (the reference engine's configuration).
+    /// No `Tick` events: every payload is distinct, so any slab mix-up
+    /// shows as a divergence.
     #[test]
     fn queue_matches_heap_model_all_heap(
         ops in proptest::collection::vec(arb_op(), 1..120)
@@ -176,49 +174,33 @@ proptest! {
     }
 }
 
-/// Deterministic tie storm: many pushes at one nanosecond must pop in
-/// exact push (seq) order, from both tiers and lanes.
+/// Deterministic tie storm: many pushes at one nanosecond, ticks among
+/// them, must pop in exact push (seq) order.
 #[test]
 fn tie_storm_pops_in_push_order() {
-    for use_lanes in [false, true] {
-        let mut q = if use_lanes {
-            EventQueue::new()
+    let ev = |i: u64| {
+        if i.is_multiple_of(3) {
+            Event::Tick {
+                node: i as u32,
+                cpu: 0,
+            }
         } else {
-            EventQueue::new_all_heap()
-        };
-        let at = 1_000_000;
-        for i in 0..200u64 {
-            let ev = if i.is_multiple_of(3) {
-                Event::Tick {
-                    node: i as u32,
-                    cpu: 0,
-                }
-            } else {
-                Event::CpuDone {
-                    node: 0,
-                    cpu: 0,
-                    gen: i,
-                }
-            };
-            q.push(at, ev);
+            Event::CpuDone {
+                node: 0,
+                cpu: 0,
+                gen: i,
+            }
         }
-        for i in 0..200u64 {
-            let (t, _, ev) = q.pop_full().expect("queue drained early");
-            assert_eq!(t, at);
-            let want = if i.is_multiple_of(3) {
-                Event::Tick {
-                    node: i as u32,
-                    cpu: 0,
-                }
-            } else {
-                Event::CpuDone {
-                    node: 0,
-                    cpu: 0,
-                    gen: i,
-                }
-            };
-            assert_eq!(ev, want, "tie broken out of seq order at {i}");
-        }
-        assert!(q.pop_full().is_none());
+    };
+    let mut q = EventQueue::new();
+    let at = 1_000_000;
+    for i in 0..200u64 {
+        q.push(at, ev(i));
     }
+    for i in 0..200u64 {
+        let (t, _, got) = q.pop_due(Ns::MAX).expect("queue drained early");
+        assert_eq!(t, at);
+        assert_eq!(got, ev(i), "tie broken out of seq order at {i}");
+    }
+    assert!(q.pop_due(Ns::MAX).is_none());
 }
