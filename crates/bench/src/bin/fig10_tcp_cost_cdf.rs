@@ -9,7 +9,7 @@ fn main() {
         Config::C128x1PinIrqCpu1,
         Config::C64x2PinIbal,
     ];
-    // Fan any cache misses out over worker threads (--jobs / KTAU_JOBS).
+    // Fan any cache misses out over worker threads (--jobs).
     prefetch(&configs.map(Experiment::Sweep), jobs());
     let series: Vec<(String, ktau_analysis::Cdf)> = configs
         .iter()

@@ -3,7 +3,7 @@ use ktau_analysis::{cdf, cdf_csv, cdf_table};
 use ktau_bench::{jobs, lu_record, prefetch, Config, Experiment};
 
 fn main() {
-    // Fan any cache misses out over worker threads (--jobs / KTAU_JOBS).
+    // Fan any cache misses out over worker threads (--jobs).
     let exps: Vec<Experiment> = Config::TABLE2.iter().map(|&c| Experiment::Lu(c)).collect();
     prefetch(&exps, jobs());
     let series: Vec<(String, ktau_analysis::Cdf)> = Config::TABLE2

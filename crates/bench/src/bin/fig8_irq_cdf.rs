@@ -10,7 +10,7 @@ fn main() {
         Config::C64x2,
         Config::C64x2Pinned,
     ];
-    // Fan any cache misses out over worker threads (--jobs / KTAU_JOBS).
+    // Fan any cache misses out over worker threads (--jobs).
     prefetch(&configs.map(Experiment::Lu), jobs());
     let series: Vec<(String, ktau_analysis::Cdf)> = configs
         .iter()

@@ -5,13 +5,12 @@
 //! sweep variant out from the in-memory image (resume + mutate + run to
 //! completion).  Every forked variant is validated against its *cold twin*
 //! — an uninterrupted run from t=0 with the same mutation applied at the
-//! same virtual time — which must be digest-identical.  Cold twins are the
-//! expensive half, so they are both content-addressed (keyed by the sweep
-//! hash) and resumable across invocations via [`SweepCheckpoint`] step
-//! markers.
+//! same virtual time — which must be digest-identical.  Every invocation
+//! recomputes the cold twins, so the recorded amortization divides walls
+//! measured in the same run.
 //!
 //! Flags:
-//! - `--jobs N` / `KTAU_JOBS`: worker threads for the variant fan-out.
+//! - `--jobs N`: worker threads for the variant fan-out.
 //! - `--check`: verify fork determinism (dynticks forks and a
 //!   reference-engine fork must all match the cold digests) and exit
 //!   non-zero on any mismatch, **without touching `BENCH_engine.json`**.
@@ -22,8 +21,8 @@
 //! with `fork_sweep --jobs 1`, since the default worker count is the host's
 //! core count and would add a second row instead.
 use ktau_bench::{
-    benchfile, jobs, run_cold, run_fork, run_parallel, run_prefix, sweep_hash, variants,
-    ForkEngine, ForkOutcome, SweepCheckpoint, T_FORK_NS,
+    benchfile, jobs, run_cold, run_fork, run_parallel, run_prefix, variants, ForkEngine,
+    ForkOutcome, T_FORK_NS,
 };
 use ktau_core::time::NS_PER_SEC;
 use serde_json::Value;
@@ -36,40 +35,25 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let j = jobs();
     let vs = variants();
-    let cp = SweepCheckpoint::open("fork_sweep", sweep_hash());
     eprintln!(
-        "[fork_sweep] {} variants, fork at t={} s virtual, jobs={j}, run id {}{}",
+        "[fork_sweep] {} variants, fork at t={} s virtual, jobs={j}{}",
         vs.len(),
         T_FORK_NS / NS_PER_SEC,
-        cp.run_id(),
         if check { " (check mode)" } else { "" }
     );
 
-    // Cold twins first: resumable and content-addressed, so an interrupted
-    // or repeated invocation (same sweep inputs) skips straight to the
-    // cached outcome instead of re-simulating from t=0.
-    let cold_cached = vs.iter().all(|v| cp.is_done(&cold_step(v.name)));
+    // Cold twins: every variant simulated uninterrupted from t=0.
     let colds: Vec<ForkOutcome> = run_parallel(
         j,
         vs.iter()
             .map(|v| {
-                let (cp, name, m) = (&cp, v.name, v.mutation.clone());
-                move || {
-                    let payload = cp.step(&cold_step(name), || {
-                        serde_json::to_string(&run_cold(ForkEngine::Dynticks, &m))
-                            .expect("encode cold outcome")
-                    });
-                    serde_json::from_str(&payload).expect("decode cold outcome")
-                }
+                let m = v.mutation.clone();
+                move || run_cold(ForkEngine::Dynticks, &m)
             })
             .collect(),
     );
     let cold_serial_s: f64 = colds.iter().map(|c| c.wall_s).sum();
-    eprintln!(
-        "[fork_sweep] cold twins ready ({}, serial-equivalent {:.2} s)",
-        if cold_cached { "cached" } else { "computed" },
-        cold_serial_s
-    );
+    eprintln!("[fork_sweep] cold twins computed (serial-equivalent {cold_serial_s:.2} s)");
 
     // Warm path: one shared prefix, one snapshot, N forks.
     let t_warm = Instant::now();
@@ -173,16 +157,11 @@ fn main() {
         fork_serial_s,
         warm_measured_s,
         cold_serial_s,
-        cold_cached,
     ) {
         eprintln!("[fork_sweep] cannot record timing: {e}");
         std::process::exit(1);
     }
     println!("fork_sweep block written to {}", benchfile::ENGINE);
-}
-
-fn cold_step(name: &str) -> String {
-    format!("cold_{name}")
 }
 
 /// Records this sweep's timing as row `jobs_<N>` of the `fork_sweep` block
@@ -196,7 +175,6 @@ fn record_fork_sweep(
     fork_serial_s: f64,
     warm_measured_s: f64,
     cold_serial_s: f64,
-    cold_cached: bool,
 ) -> std::io::Result<()> {
     let warm_serial_s = prefix_wall_s + fork_serial_s;
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -225,17 +203,6 @@ fn record_fork_sweep(
         (
             "amortization_speedup".to_owned(),
             Value::F64(cold_serial_s / warm_serial_s),
-        ),
-        (
-            "cold_wall_source".to_owned(),
-            Value::Str(
-                if cold_cached {
-                    "checkpoint_cache"
-                } else {
-                    "measured"
-                }
-                .to_owned(),
-            ),
         ),
         ("host_cores".to_owned(), Value::U64(host_cores as u64)),
         (

@@ -1,9 +1,8 @@
 //! Runs every experiment once, populating the results cache that the
 //! per-figure binaries read.  Independent cluster runs fan out over worker
-//! threads (`--jobs N` / `KTAU_JOBS`, default: available cores).  Results
-//! are printed and cached in a fixed order, byte-identical to a serial run —
-//! the worker count never changes simulation output, only how the wall
-//! clock is spent.
+//! threads (`--jobs N`, default: available cores).  Results are printed
+//! and cached in a fixed order, byte-identical to a serial run — the worker
+//! count never changes simulation output, only how the wall clock is spent.
 use ktau_bench::{benchfile, jobs, prefetch, Config, Experiment};
 use serde_json::Value;
 use std::time::Instant;

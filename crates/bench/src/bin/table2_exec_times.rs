@@ -3,7 +3,7 @@
 use ktau_bench::{jobs, lu_record, prefetch, sweep_record, Config, Experiment};
 
 fn main() {
-    // Fan any cache misses out over worker threads (--jobs / KTAU_JOBS).
+    // Fan any cache misses out over worker threads (--jobs).
     let mut exps: Vec<Experiment> = Config::TABLE2.iter().map(|&c| Experiment::Lu(c)).collect();
     exps.extend(Config::TABLE2.iter().map(|&c| Experiment::Sweep(c)));
     prefetch(&exps, jobs());

@@ -16,13 +16,11 @@
 //! check); the equivalent property-based coverage lives in
 //! `crates/oskern/tests/dynticks_equiv.rs`.
 
-use crate::scenarios::input_hash;
 use ktau_core::time::{Ns, NS_PER_SEC};
 use ktau_mpi::{launch, Layout};
 use ktau_net::{FaultPlan, FaultSpec};
 use ktau_oskern::{Cluster, ClusterSnapshot, ClusterSpec, DegradeSpec, IrqStormSpec};
 use ktau_workloads::LuParams;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Nodes in the sweep's base cluster.
@@ -166,18 +164,6 @@ pub fn variants() -> Vec<Variant> {
     ]
 }
 
-/// Content hash of everything that can change sweep results: base spec,
-/// layout, workload, fork point, the variant list, and (via
-/// [`input_hash`]) the engine version.  Keys both the cold-twin result
-/// cache and the resumable checkpoint directory.
-pub fn sweep_hash() -> u64 {
-    let vs: Vec<(&str, String)> = variants()
-        .iter()
-        .map(|v| (v.name, format!("{:?}", v.mutation)))
-        .collect();
-    input_hash(&base_spec(), &layout(), &(T_FORK_NS, "fork_sweep", vs))
-}
-
 /// Applies a variant's mutation to a cluster positioned at the fork point.
 pub fn apply_mutation(c: &mut Cluster, m: &Mutation) {
     match m {
@@ -191,9 +177,8 @@ pub fn apply_mutation(c: &mut Cluster, m: &Mutation) {
     }
 }
 
-/// The measured end state of one sweep path, serializable for the cold-twin
-/// cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The measured end state of one sweep path.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForkOutcome {
     /// Full-state digest at completion, hex.
     pub digest: String,
@@ -271,10 +256,5 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn sweep_hash_is_stable_within_a_process() {
-        assert_eq!(sweep_hash(), sweep_hash());
     }
 }

@@ -25,15 +25,13 @@ pub mod forksweep;
 pub mod parallel;
 pub mod records;
 pub mod scenarios;
-pub mod sweeprun;
 
 pub use controlled::{measure_direct_overheads, run_fig2_ab, run_fig2_c, run_fig2_e};
 pub use faults::{flaky_link_plan, run_flaky_link_lu16, FlakyLinkOutcome, FLAKY_NODE};
 pub use forksweep::{
-    apply_mutation, run_cold, run_fork, run_prefix, sweep_hash, variants, ForkEngine, ForkOutcome,
-    Mutation, Variant, T_FORK_NS,
+    apply_mutation, run_cold, run_fork, run_prefix, variants, ForkEngine, ForkOutcome, Mutation,
+    Variant, T_FORK_NS,
 };
 pub use parallel::{jobs, prefetch, run_parallel, Experiment};
 pub use records::{NodeProcRecord, RankRecord, RunRecord};
 pub use scenarios::{lu_record, run_lu, run_sweep, sweep_record, Config, ANOMALY_NODE};
-pub use sweeprun::SweepCheckpoint;

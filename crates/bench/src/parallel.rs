@@ -3,10 +3,10 @@
 //! Every full-size cluster run is a self-contained deterministic simulation:
 //! the same spec and seed produce a bit-identical [`RunRecord`], and runs
 //! share no state.  That makes the experiment set embarrassingly parallel —
-//! cache-miss computations fan out over a small worker pool
-//! (`--jobs N` / `KTAU_JOBS`, default: available cores) while results are
-//! collected in submission order, so every printed table and every cached
-//! JSON file is byte-identical to a serial run.
+//! cache-miss computations fan out over a small worker pool (`--jobs N`,
+//! default: available cores) while results are collected in submission
+//! order, so every printed table and every cached JSON file is
+//! byte-identical to a serial run.
 
 use crate::records::RunRecord;
 use crate::scenarios::{lu_record, sweep_record, Config};
@@ -14,8 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Resolves the worker-thread count: `--jobs N`, `--jobs=N` or `-j N` on the
-/// command line, else the `KTAU_JOBS` environment variable, else the number
-/// of available cores.
+/// command line, else the number of available cores.
 pub fn jobs() -> usize {
     jobs_from(std::env::args().skip(1))
 }
@@ -32,9 +31,6 @@ fn jobs_from(args: impl Iterator<Item = String>) -> usize {
                 return clamp_jobs(n);
             }
         }
-    }
-    if let Some(n) = std::env::var("KTAU_JOBS").ok().and_then(|v| v.parse().ok()) {
-        return clamp_jobs(n);
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -177,7 +173,7 @@ mod tests {
         assert_eq!(parse(&["--jobs=9"]), 9);
         assert_eq!(parse(&["-j", "2"]), 2);
         assert_eq!(parse(&["--jobs", "0"]), 1);
-        // Unparsable / absent flags fall through to env/core detection.
+        // Unparsable / absent flags fall through to core detection.
         assert!(parse(&["--frobnicate"]) >= 1);
     }
 

@@ -2,11 +2,13 @@
 
 use crate::records::{extract_run, RunRecord};
 use ktau_core::control::InstrumentationControl;
+use ktau_core::digest::{fnv_bytes, FNV_OFFSET};
 use ktau_core::time::{Ns, NS_PER_SEC};
 use ktau_core::Group;
 use ktau_mpi::{launch, Layout};
 use ktau_oskern::{Cluster, ClusterSpec, IrqPolicy};
 use ktau_workloads::{LuParams, SweepParams};
+use serde::Serialize;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
@@ -213,17 +215,15 @@ pub const ENGINE_VERSION: u32 = 3;
 /// [`ENGINE_VERSION`].  `Debug` is the content here — all spec types are
 /// plain data with derived `Debug`, so any field change changes the hash.
 pub fn input_hash(spec: &ClusterSpec, layout: &Layout, params: &dyn std::fmt::Debug) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |s: String| {
-        for b in s.into_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(format!("v{ENGINE_VERSION}"));
-    eat(format!("{spec:?}"));
-    eat(format!("{layout:?}"));
-    eat(format!("{params:?}"));
+    let mut h = FNV_OFFSET;
+    for part in [
+        format!("v{ENGINE_VERSION}"),
+        format!("{spec:?}"),
+        format!("{layout:?}"),
+        format!("{params:?}"),
+    ] {
+        fnv_bytes(&mut h, part.as_bytes());
+    }
     h
 }
 
@@ -267,33 +267,21 @@ fn manifest_store(key: &str, hash: &str) {
                 m.sort_by(|a, b| a.0.cmp(&b.0));
             }
         }
-        let dir = results_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            if let Ok(s) = serde_json::to_string_pretty(&Value::Obj(m.clone())) {
-                let _ = std::fs::write(dir.join("cache_manifest.json"), s);
-            }
-        }
+        let path = results_dir().join("cache_manifest.json");
+        write_or_exit(&path, &Value::Obj(m.clone()));
     })
 }
 
 /// Loads a cached record, or computes and caches it.  `KTAU_RERUN=1`
-/// forces recomputation.  When `hash` is `Some`, the cache is
-/// content-addressed: a record is served only if the manifest's recorded
-/// input hash matches, so editing a cluster spec, fault plan, workload, or
-/// the engine itself invalidates exactly the affected runs.
-pub fn cached_hashed(
-    key: &str,
-    hash: Option<u64>,
-    compute: impl FnOnce() -> RunRecord,
-) -> RunRecord {
-    let dir = results_dir();
-    let path = dir.join(format!("{key}.json"));
-    let hex = hash.map(|h| format!("{h:016x}"));
+/// forces recomputation.  The cache is content-addressed: a record is
+/// served only if the manifest's recorded input `hash` matches, so editing
+/// a cluster spec, fault plan, workload, or the engine itself invalidates
+/// exactly the affected runs.
+pub fn cached_hashed(key: &str, hash: u64, compute: impl FnOnce() -> RunRecord) -> RunRecord {
+    let path = results_dir().join(format!("{key}.json"));
+    let hex = format!("{hash:016x}");
     let rerun = std::env::var_os("KTAU_RERUN").is_some();
-    let hash_ok = match &hex {
-        Some(hex) => manifest_lookup(key).as_deref() == Some(hex.as_str()),
-        None => true,
-    };
+    let hash_ok = manifest_lookup(key).as_deref() == Some(hex.as_str());
     if !rerun && hash_ok {
         if let Some(rec) = load_record(&path) {
             return rec;
@@ -303,20 +291,27 @@ pub fn cached_hashed(
         eprintln!("[cache] {key}: inputs changed, recomputing");
     }
     let rec = compute();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        if let Ok(s) = serde_json::to_string_pretty(&rec) {
-            let _ = std::fs::write(&path, s);
-        }
-    }
-    if let Some(hex) = &hex {
-        manifest_store(key, hex);
-    }
+    write_or_exit(&path, &rec);
+    manifest_store(key, &hex);
     rec
 }
 
-/// [`cached_hashed`] without content addressing (presence-only caching).
-pub fn cached(key: &str, compute: impl FnOnce() -> RunRecord) -> RunRecord {
-    cached_hashed(key, None, compute)
+/// Writes one cache file as pretty JSON, creating its directory.
+fn write_json(path: &Path, value: &impl Serialize) -> std::io::Result<()> {
+    let text = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, text)
+}
+
+/// [`write_json`], exiting non-zero on failure: a binary that carried on
+/// would print results its cache silently failed to keep.
+fn write_or_exit(path: &Path, value: &impl Serialize) {
+    if let Err(e) = write_json(path, value) {
+        eprintln!("[cache] cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
 fn load_record(path: &Path) -> Option<RunRecord> {
@@ -330,7 +325,7 @@ pub fn lu_record(cfg: Config) -> RunRecord {
     let (spec, layout) = cfg.cluster_and_layout();
     let params = LuParams::class_c_128();
     let hash = input_hash(&spec, &layout, &params);
-    cached_hashed(&key, Some(hash), || {
+    cached_hashed(&key, hash, || {
         eprintln!("[run] LU {} (cache miss, simulating…)", cfg.label());
         run_lu(cfg, params)
     })
@@ -342,7 +337,7 @@ pub fn sweep_record(cfg: Config) -> RunRecord {
     let (spec, layout) = cfg.cluster_and_layout();
     let params = SweepParams::paper_128();
     let hash = input_hash(&spec, &layout, &params);
-    cached_hashed(&key, Some(hash), || {
+    cached_hashed(&key, hash, || {
         eprintln!("[run] Sweep3D {} (cache miss, simulating…)", cfg.label());
         run_sweep(cfg, params)
     })
@@ -404,6 +399,31 @@ mod tests {
         assert_eq!(rec.ranks.len(), 4);
         assert!(rec.exec_s > 0.0);
         assert!(rec.ranks.iter().any(|r| r.mpi_recv_count > 0));
+    }
+
+    #[test]
+    fn lu_128x1_input_hash_matches_committed_manifest() {
+        // `results/cache_manifest.json` records `lu_128x1` under this hash;
+        // a change here would silently recompute every cached LU record.
+        let (spec, layout) = Config::C128x1.cluster_and_layout();
+        let hash = input_hash(&spec, &layout, &LuParams::class_c_128());
+        assert_eq!(format!("{hash:016x}"), "320fb19c73794f97");
+    }
+
+    #[test]
+    fn record_write_under_a_regular_file_is_an_error() {
+        let file = std::env::temp_dir().join(format!("ktau-cache-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let rec = RunRecord {
+            app: "lu".into(),
+            config: "test".into(),
+            exec_s: 1.0,
+            ranks: vec![],
+            anomaly_node_procs: vec![],
+        };
+        let written = write_json(&file.join("lu_test.json"), &rec);
+        std::fs::remove_file(&file).unwrap();
+        assert!(written.is_err());
     }
 
     fn run_lu_small() -> RunRecord {

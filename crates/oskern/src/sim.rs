@@ -1293,12 +1293,7 @@ impl Cluster {
     /// Human-readable deadlock diagnostics: every live app task with its
     /// scheduler/op state, plus the socket state of each connection the
     /// stuck tasks are blocked on (sndbuf occupancy, unacked segments,
-    /// retransmit counts, rcvbuf reassembly/refusal state).  The MPI layer
-    /// re-exports this to name the stuck rank when a job hangs.
-    pub fn deadlock_report(&self) -> String {
-        self.stuck_report()
-    }
-
+    /// retransmit counts, rcvbuf reassembly/refusal state).
     fn stuck_report(&self) -> String {
         use crate::task::BlockedOn;
         use std::fmt::Write;

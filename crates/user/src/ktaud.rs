@@ -8,25 +8,21 @@
 //!   that periodically wakes and burns the CPU cost of walking
 //!   `/proc/ktau` (this is the perturbation a daemon-based model causes —
 //!   one of the paper's arguments for daemon-less self-profiling);
-//! * the **collection**: snapshots taken through libKtau at each period.
-//!
-//! Two collection front-ends share that machinery:
-//!
-//! * [`Ktaud`] — the step-loop harness: every sweep reads *full* profiles
-//!   for every process into an in-memory history (the paper's original
-//!   periodic-dump design, fine at Chiba-City's 128 nodes);
-//! * [`KtaudService`] — the long-running monitoring service: per-client
-//!   subscription sessions with poll cursors, incremental `KTAD` deltas
-//!   instead of full dumps, and an O(active) sweep that skips unchanged
-//!   profiles via the kernel's dirty-marking generation — the same design
-//!   grown to thousand-node scale with many concurrent observers.
+//! * the **collection**: [`KtaudService`] sweeps every monitored node's live
+//!   processes each period and serves any number of subscribed clients.
+//!   Each subscription's [`SubscriptionFilter`] picks all processes or a
+//!   subset (nodes, pids, applications only); its first poll ships full
+//!   profiles and later polls ship incremental `KTAD` deltas.  A sweep is
+//!   O(active): it skips unchanged profiles via the kernel's dirty-marking
+//!   generation.
 //!
 //! The service and its client mirrors ([`KtaudMirror`]) hold profiles as
 //! [`EncodedProfile`]s — the `/proc/ktau` bytes indexed by row — and diff,
 //! splice and compare them as bytes; nothing on the update path decodes a
-//! profile into a [`ProfileSnapshot`].
+//! profile into a [`ProfileSnapshot`].  A client that wants full profiles
+//! decodes its mirror with [`KtaudMirror::get`].
 
-use crate::libktau::{ktau_get_profiles, ktau_read_profile, AccessMode, KtauError};
+use crate::libktau::{ktau_read_profile, KtauError};
 use ktau_core::snapshot::{EncodedProfile, ProfileSnapshot};
 use ktau_core::time::Ns;
 use ktau_oskern::{Cluster, FnProgram, Op, Pid, TaskKind, TaskSpec};
@@ -45,153 +41,28 @@ fn sweep_cost_ns(live_tasks: usize) -> Ns {
     SWEEP_BASE_NS + SWEEP_PER_TASK_NS * live_tasks as u64
 }
 
-/// A periodic collection of every monitored node's profiles.
-#[derive(Debug, Clone)]
-pub struct KtaudSample {
-    /// Virtual time of the sweep.
-    pub taken_ns: Ns,
-    /// Per node: the profiles read.
-    pub profiles: Vec<(u32, Vec<ProfileSnapshot>)>,
-}
-
-/// The daemon harness.
-pub struct Ktaud {
-    period_ns: Ns,
-    mode: AccessMode,
-    nodes: Vec<u32>,
-    daemon_pids: Vec<(u32, Pid)>,
-    /// Per node: the shared cell the daemon reads its next wake's sweep cost
-    /// (in ns) from.  Updated before every period from the live-task count,
-    /// so daemon perturbation tracks load instead of freezing at install.
-    cost_cells: Vec<(u32, Arc<AtomicU64>)>,
-    /// Collected history.
-    pub history: Vec<KtaudSample>,
-}
-
-impl Ktaud {
-    /// Installs KTAUD on the given nodes: spawns the on-node daemon
-    /// processes and prepares collection with the given period and mode.
-    pub fn install(cluster: &mut Cluster, nodes: &[u32], period_ns: Ns, mode: AccessMode) -> Self {
-        let mut daemon_pids = Vec::new();
-        let mut cost_cells = Vec::new();
-        for &n in nodes {
-            // The daemon sleeps for a period, then burns the CPU cost of
-            // walking `/proc/ktau` for every live process.  The cost is
-            // re-read from the shared cell and converted to cycles at every
-            // wake: it scales with how many tasks the node is running, and
-            // the resulting compute chunk goes through the node's normal
-            // busy path, where CPU-degradation faults stretch it.
-            let cell = Arc::new(AtomicU64::new(sweep_cost_ns(
-                cluster.node(n).proc_live_pids().len(),
-            )));
-            let freq = cluster.node(n).freq;
-            let prog = {
-                let cell = Arc::clone(&cell);
-                let mut sleeping = false;
-                FnProgram(move || {
-                    sleeping = !sleeping;
-                    if sleeping {
-                        Op::Sleep(period_ns)
-                    } else {
-                        Op::Compute(freq.ns_to_cycles(cell.load(Ordering::Relaxed)))
-                    }
-                })
-            };
-            let pid = cluster.spawn(n, TaskSpec::daemon("ktaud", Box::new(prog)));
-            daemon_pids.push((n, pid));
-            cost_cells.push((n, cell));
-        }
-        Ktaud {
-            period_ns,
-            mode,
-            nodes: nodes.to_vec(),
-            daemon_pids,
-            cost_cells,
-            history: Vec::new(),
-        }
-    }
-
-    /// The daemon's on-node pids.
-    pub fn daemon_pids(&self) -> &[(u32, Pid)] {
-        &self.daemon_pids
-    }
-
-    /// The monitored nodes.
-    pub fn nodes(&self) -> &[u32] {
-        &self.nodes
-    }
-
-    /// The sweep period.
-    pub fn period_ns(&self) -> Ns {
-        self.period_ns
-    }
-
-    /// Advances the cluster one period with the daemons' wake costs updated
-    /// to the current live-task counts — the shared on-node half of a sweep,
-    /// without any collection.
-    pub fn advance(&mut self, cluster: &mut Cluster) {
-        for (n, cell) in &self.cost_cells {
-            let live = cluster.node(*n).proc_live_pids().len();
-            cell.store(sweep_cost_ns(live), Ordering::Relaxed);
-        }
-        cluster.run_for(self.period_ns);
-    }
-
-    /// Advances the cluster one period and takes a sweep of snapshots.
-    pub fn step(&mut self, cluster: &mut Cluster) -> Result<(), KtauError> {
-        self.advance(cluster);
-        let mut profiles = Vec::with_capacity(self.nodes.len());
-        for &n in &self.nodes {
-            profiles.push((n, ktau_get_profiles(cluster, n, &self.mode)?));
-        }
-        self.history.push(KtaudSample {
-            taken_ns: cluster.now(),
-            profiles,
-        });
-        Ok(())
-    }
-
-    /// Runs the daemon for `n` periods.
-    pub fn run(&mut self, cluster: &mut Cluster, n: usize) -> Result<(), KtauError> {
-        for _ in 0..n {
-            self.step(cluster)?;
-        }
-        Ok(())
-    }
-
-    /// The most recent sweep.
-    pub fn latest(&self) -> Option<&KtaudSample> {
-        self.history.last()
-    }
-}
-
-/// Per-interval rate of one kernel event for one process across a KTAUD
-/// history: `(interval end, calls/sec)` — online rate monitoring, the
-/// "provide online information" objective from the paper's §3.
+/// Per-interval rate of one kernel event across one process's series of
+/// snapshots: `(interval end, calls/sec)` — online rate monitoring, the
+/// "provide online information" objective from the paper's §3.  Each
+/// interval runs from one snapshot's `taken_ns` to the next one's.
 ///
-/// A counter that *regresses* between sweeps (profile reset, or a new
+/// A counter that *regresses* between snapshots (profile reset, or a new
 /// process observed under a reused pid) yields no rate for that interval;
 /// the baseline restarts from the new count instead of underflowing.
-pub fn event_rate(history: &[KtaudSample], node: u32, pid: u32, event: &str) -> Vec<(Ns, f64)> {
+pub fn event_rate(series: &[ProfileSnapshot], event: &str) -> Vec<(Ns, f64)> {
     let mut out = Vec::new();
     let mut prev: Option<(Ns, u64)> = None;
-    for sample in history {
-        let Some((_, profiles)) = sample.profiles.iter().find(|(n, _)| *n == node) else {
-            continue;
-        };
-        let Some(p) = profiles.iter().find(|p| p.pid == pid) else {
-            continue;
-        };
+    for p in series {
         let count = p.kernel_event(event).map(|r| r.stats.count).unwrap_or(0);
         if let Some((t0, c0)) = prev {
-            let dt = (sample.taken_ns.saturating_sub(t0)) as f64 / 1e9;
+            let dt = (p.taken_ns.saturating_sub(t0)) as f64 / 1e9;
             if let Some(diff) = count.checked_sub(c0) {
                 if dt > 0.0 {
-                    out.push((sample.taken_ns, diff as f64 / dt));
+                    out.push((p.taken_ns, diff as f64 / dt));
                 }
             }
         }
-        prev = Some((sample.taken_ns, count));
+        prev = Some((p.taken_ns, count));
     }
     out
 }
@@ -381,27 +252,66 @@ struct ClientSession {
 ///   client mirror's reconstructed bytes are identical to the server's
 ///   full encoding — enforced in tests and by `ktaud_scale --check` in CI.
 pub struct KtaudService {
-    harness: Ktaud,
+    period_ns: Ns,
+    nodes: Vec<u32>,
+    daemon_pids: Vec<(u32, Pid)>,
+    /// Per node: the shared cell the daemon reads its next wake's sweep cost
+    /// (in ns) from.  Updated before every period from the live-task count,
+    /// so daemon perturbation tracks load instead of freezing at install.
+    cost_cells: Vec<(u32, Arc<AtomicU64>)>,
     store: BTreeMap<(u32, u32), Entry>,
     clients: Vec<ClientSession>,
     stats: ServiceStats,
 }
 
 impl KtaudService {
-    /// Installs the service on the given nodes: spawns the per-node daemon
-    /// processes (via [`Ktaud::install`]) and prepares an empty store.
+    /// Installs the service on the given nodes: spawns one on-node daemon
+    /// process per node, sweeping every `period_ns`, and prepares an empty
+    /// store.
     pub fn install(cluster: &mut Cluster, nodes: &[u32], period_ns: Ns) -> Self {
+        let mut daemon_pids = Vec::new();
+        let mut cost_cells = Vec::new();
+        for &n in nodes {
+            // The daemon sleeps for a period, then burns the CPU cost of
+            // walking `/proc/ktau` for every live process.  The cost is
+            // re-read from the shared cell and converted to cycles at every
+            // wake: it scales with how many tasks the node is running, and
+            // the resulting compute chunk goes through the node's normal
+            // busy path, where CPU-degradation faults stretch it.
+            let cell = Arc::new(AtomicU64::new(sweep_cost_ns(
+                cluster.node(n).proc_live_pids().len(),
+            )));
+            let freq = cluster.node(n).freq;
+            let prog = {
+                let cell = Arc::clone(&cell);
+                let mut sleeping = false;
+                FnProgram(move || {
+                    sleeping = !sleeping;
+                    if sleeping {
+                        Op::Sleep(period_ns)
+                    } else {
+                        Op::Compute(freq.ns_to_cycles(cell.load(Ordering::Relaxed)))
+                    }
+                })
+            };
+            let pid = cluster.spawn(n, TaskSpec::daemon("ktaud", Box::new(prog)));
+            daemon_pids.push((n, pid));
+            cost_cells.push((n, cell));
+        }
         KtaudService {
-            harness: Ktaud::install(cluster, nodes, period_ns, AccessMode::All),
+            period_ns,
+            nodes: nodes.to_vec(),
+            daemon_pids,
+            cost_cells,
             store: BTreeMap::new(),
             clients: Vec::new(),
             stats: ServiceStats::default(),
         }
     }
 
-    /// The underlying daemon harness (daemon pids, nodes, period).
-    pub fn harness(&self) -> &Ktaud {
-        &self.harness
+    /// The on-node daemon pids, as `(node, pid)`.
+    pub fn daemon_pids(&self) -> &[(u32, Pid)] {
+        &self.daemon_pids
     }
 
     /// Registers a client session; its first [`KtaudService::poll`] full-syncs
@@ -418,10 +328,16 @@ impl KtaudService {
     /// Advances the cluster one period and refreshes the store from the
     /// live tasks of every monitored node.
     pub fn sweep(&mut self, cluster: &mut Cluster) -> Result<(), KtauError> {
-        self.harness.advance(cluster);
+        // Each daemon's next wake costs the walk of its node's current
+        // live tasks.
+        for (n, cell) in &self.cost_cells {
+            let live = cluster.node(*n).proc_live_pids().len();
+            cell.store(sweep_cost_ns(live), Ordering::Relaxed);
+        }
+        cluster.run_for(self.period_ns);
         self.stats.sweeps += 1;
         let sweep = self.stats.sweeps;
-        for &n in &self.harness.nodes {
+        for &n in &self.nodes {
             let node = cluster.node(n);
             for pid in node.proc_live_pids() {
                 let gen = node.profile_gen(pid)?;
@@ -668,27 +584,29 @@ mod tests {
                 Box::new(OpList::new(vec![Op::Compute(2 * 450_000_000)])),
             ),
         );
-        let mut d = Ktaud::install(&mut c, &[0, 1], NS_PER_SEC / 2, AccessMode::All);
-        d.run(&mut c, 4).unwrap();
-        assert_eq!(d.history.len(), 4);
-        // Timestamps advance monotonically by the period.
-        let times: Vec<_> = d.history.iter().map(|s| s.taken_ns).collect();
+        let mut d = KtaudService::install(&mut c, &[0, 1], NS_PER_SEC / 2);
+        let client = d.subscribe(SubscriptionFilter::all());
+        let mut mirror = KtaudMirror::new();
+        let mut times = Vec::new();
+        let mut seen = Vec::new();
+        for _ in 0..4 {
+            d.sweep(&mut c).unwrap();
+            mirror.apply_all(&d.poll(client)).unwrap();
+            times.push(c.now());
+            seen.push(mirror.iter().any(|(_, p)| p.decode().comm == "w"));
+        }
+        assert_eq!(d.stats().sweeps, 4);
+        // Sweeps advance monotonically by the period.
         assert!(times.windows(2).all(|w| w[1] > w[0]));
-        // The worker's profile is visible in the sweeps.
-        let seen = d
-            .latest()
-            .unwrap()
-            .profiles
-            .iter()
-            .flat_map(|(_, v)| v)
-            .any(|p| p.comm == "w");
-        assert!(seen);
+        // The worker's profile is visible in every sweep taken while it
+        // computes (~2 s).
+        assert!(seen[..3].iter().all(|&s| s), "worker missing: {seen:?}");
     }
 
     #[test]
     fn ktaud_daemon_costs_cpu_on_node() {
         let mut c = quiet(1);
-        let mut d = Ktaud::install(&mut c, &[0], NS_PER_SEC / 10, AccessMode::All);
+        let mut d = KtaudService::install(&mut c, &[0], NS_PER_SEC / 10);
         d.run(&mut c, 20).unwrap();
         let (n, pid) = d.daemon_pids()[0];
         let t = c.node(n).task(pid).unwrap();
@@ -720,11 +638,11 @@ mod tests {
     fn event_rate_survives_counter_regression_and_pid_reuse() {
         use ktau_core::snapshot::EventRow;
         use ktau_core::{EntryExitStats, Group};
-        let snap_with_count = |count: u64| ProfileSnapshot {
+        let snap = |taken_ns: Ns, count: u64| ProfileSnapshot {
             pid: 7,
             comm: "reused".into(),
             node: 0,
-            taken_ns: 0,
+            taken_ns,
             kernel_events: vec![EventRow {
                 name: "sys_getpid".into(),
                 group: Group::Syscall,
@@ -738,18 +656,14 @@ mod tests {
             }],
             ..Default::default()
         };
-        let sample = |t: Ns, count: u64| KtaudSample {
-            taken_ns: t,
-            profiles: vec![(0, vec![snap_with_count(count)])],
-        };
         // Counts 100 → 600 → (pid reused, new process) 5 → 25.
-        let history = vec![
-            sample(NS_PER_SEC, 100),
-            sample(2 * NS_PER_SEC, 600),
-            sample(3 * NS_PER_SEC, 5),
-            sample(4 * NS_PER_SEC, 25),
+        let series = [
+            snap(NS_PER_SEC, 100),
+            snap(2 * NS_PER_SEC, 600),
+            snap(3 * NS_PER_SEC, 5),
+            snap(4 * NS_PER_SEC, 25),
         ];
-        let rates = event_rate(&history, 0, 7, "sys_getpid");
+        let rates = event_rate(&series, "sys_getpid");
         // The regression interval yields no rate; the two monotone
         // intervals yield 500/s and 20/s.
         assert_eq!(rates.len(), 2);

@@ -4,10 +4,10 @@
 //!
 //! * [`libktau`] — the user API over the session-less proc protocol:
 //!   profile/trace retrieval, runtime kernel control, profile reset;
-//! * [`ktaud`] — the KTAUD daemon (periodic all-process extraction, with
-//!   its on-node CPU cost modelled), the long-running monitoring service
-//!   ([`KtaudService`]: subscription sessions, incremental profile deltas,
-//!   O(active) sweeps) and the `runKtau` time-like wrapper;
+//! * [`ktaud`] — the KTAUD daemon ([`KtaudService`]: on-node daemons with
+//!   their CPU cost modelled, periodic O(active) sweeps, subscription
+//!   sessions shipping full profiles then incremental deltas, client
+//!   mirrors), online event rates and the `runKtau` time-like wrapper;
 //! * [`merged`] — merged user/kernel views: corrected "true exclusive
 //!   time" per routine, kernel call-group analysis, merged trace
 //!   timelines.
@@ -22,8 +22,8 @@ pub mod phases;
 
 pub use callgraph::{callpath_profile, render_callpaths, CallPathRow};
 pub use ktaud::{
-    event_rate, run_ktau, ClientId, ClientStats, Ktaud, KtaudMirror, KtaudSample, KtaudService,
-    PollItem, ServiceStats, SubscriptionFilter,
+    event_rate, run_ktau, ClientId, ClientStats, KtaudMirror, KtaudService, PollItem, ServiceStats,
+    SubscriptionFilter,
 };
 pub use libktau::{
     ktau_get_profile, ktau_get_profiles, ktau_get_trace, ktau_reset_profile, ktau_set_group,

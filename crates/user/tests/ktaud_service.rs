@@ -7,8 +7,7 @@ use ktau_oskern::{
     Cluster, ClusterSpec, DegradeSpec, LoopProgram, NoiseSpec, Op, OpList, TaskSpec,
 };
 use ktau_user::ktaud::{ClientId, KtaudMirror, KtaudService, PollItem, SubscriptionFilter};
-use ktau_user::libktau::{ktau_reset_profile, AccessMode};
-use ktau_user::Ktaud;
+use ktau_user::libktau::ktau_reset_profile;
 
 const PERIOD: u64 = 100_000_000; // 100 ms sweeps
 
@@ -331,9 +330,9 @@ fn daemon_cost_scales_with_live_task_count() {
             // count) without contending with the daemon for CPU.
             c.spawn(0, TaskSpec::app(format!("rank{i}"), busy_loop()));
         }
-        let mut d = Ktaud::install(&mut c, &[0], PERIOD, AccessMode::All);
-        d.run(&mut c, 10).unwrap();
-        let (n, pid) = d.daemon_pids()[0];
+        let mut svc = KtaudService::install(&mut c, &[0], PERIOD);
+        svc.run(&mut c, 10).unwrap();
+        let (n, pid) = svc.daemon_pids()[0];
         c.node(n).task(pid).unwrap().cpu_ns
     };
     let few = daemon_cpu(1);
@@ -362,9 +361,9 @@ fn daemon_cost_stretches_under_node_degradation() {
             },
         )];
         let mut c = Cluster::new(spec);
-        let mut d = Ktaud::install(&mut c, &[0], PERIOD, AccessMode::All);
-        d.run(&mut c, 10).unwrap();
-        let (n, pid) = d.daemon_pids()[0];
+        let mut svc = KtaudService::install(&mut c, &[0], PERIOD);
+        svc.run(&mut c, 10).unwrap();
+        let (n, pid) = svc.daemon_pids()[0];
         c.node(n).task(pid).unwrap().cpu_ns
     };
     let healthy = daemon_cpu(100);

@@ -8,7 +8,7 @@
 //! ```
 
 use ktau::oskern::{Cluster, ClusterSpec, Op, OpList, TaskSpec};
-use ktau::user::{AccessMode, Ktaud};
+use ktau::user::{KtaudMirror, KtaudService, SubscriptionFilter};
 
 fn main() {
     let mut cluster = Cluster::new(ClusterSpec::chiba(2));
@@ -27,47 +27,59 @@ fn main() {
         ),
     );
 
-    // Install KTAUD on both nodes: 250 ms period, all-process mode.
-    let mut daemon = Ktaud::install(&mut cluster, &[0, 1], 250_000_000, AccessMode::All);
-    daemon.run(&mut cluster, 12).expect("collection failed");
+    // Install KTAUD on both nodes with a 250 ms period, and subscribe one
+    // client to every process; its mirror holds their current profiles.
+    let mut daemon = KtaudService::install(&mut cluster, &[0, 1], 250_000_000);
+    let client = daemon.subscribe(SubscriptionFilter::all());
+    let mut mirror = KtaudMirror::new();
 
-    println!(
-        "KTAUD collected {} sweeps over {:.2} virtual seconds\n",
-        daemon.history.len(),
-        cluster.now() as f64 / 1e9
-    );
-
-    // Show how the blackbox app's kernel profile grew over time.
+    // Show how the blackbox app's kernel profile grows over time.
     println!("blackbox kernel activity growth (sys_nanosleep inclusive seconds):");
-    for sample in daemon.history.iter().step_by(3) {
-        for (node, profiles) in &sample.profiles {
-            if let Some(p) = profiles.iter().find(|p| p.comm == "blackbox") {
-                let sleep = p
-                    .kernel_event("sys_nanosleep")
-                    .map(|r| r.stats.incl_ns)
-                    .unwrap_or(0);
-                println!(
-                    "  t={:>6.2}s node {}: {:>8.3} s in nanosleep, {} kernel events seen",
-                    sample.taken_ns as f64 / 1e9,
-                    node,
-                    sleep as f64 / 1e9,
-                    p.kernel_events.len()
-                );
-            }
+    for sweep in 1..=12 {
+        daemon.sweep(&mut cluster).expect("collection failed");
+        mirror
+            .apply_all(&daemon.poll(client))
+            .expect("mirror rejected an update");
+        if sweep % 3 != 1 {
+            continue;
         }
-    }
-
-    // The final sweep shows everything on node 0, daemons included.
-    println!("\nfinal sweep, node 0 process inventory:");
-    if let Some(sample) = daemon.latest() {
-        for p in &sample.profiles[0].1 {
+        for ((node, pid), p) in mirror.iter() {
+            let p = p.decode();
+            if p.comm != "blackbox" {
+                continue;
+            }
+            let sleep = p
+                .kernel_event("sys_nanosleep")
+                .map(|r| r.stats.incl_ns)
+                .unwrap_or(0);
             println!(
-                "  pid {:>3} {:<12} kernel events: {:>3}",
-                p.pid,
-                p.comm,
+                "  t={:>6.2}s node {node} pid {pid}: {:>8.3} s in nanosleep, {} kernel events seen",
+                cluster.now() as f64 / 1e9,
+                sleep as f64 / 1e9,
                 p.kernel_events.len()
             );
         }
+    }
+
+    let stats = daemon.stats();
+    println!(
+        "\nKTAUD ran {} sweeps over {:.2} virtual seconds: {} profile captures, {} unchanged skipped",
+        stats.sweeps,
+        cluster.now() as f64 / 1e9,
+        stats.captures,
+        stats.gen_skips
+    );
+
+    // The final sweep shows every live process on node 0, daemons included
+    // (the blackbox app has exited by now).
+    println!("\nfinal sweep, node 0 process inventory:");
+    for ((_, pid), p) in mirror.iter().filter(|((node, _), _)| *node == 0) {
+        let p = p.decode();
+        println!(
+            "  pid {pid:>3} {:<12} kernel events: {:>3}",
+            p.comm,
+            p.kernel_events.len()
+        );
     }
     println!("\n(note the ktaud daemon itself appears — a daemon-based model");
     println!(" perturbs the system, which is why KTAU also supports self-profiling)");

@@ -7,7 +7,7 @@ use ktau::oskern::{
 };
 use ktau::user::{
     ktau_get_profile, ktau_get_profiles, ktau_get_trace, ktau_set_group, run_ktau, AccessMode,
-    KtauError, Ktaud,
+    KtauError, KtaudMirror, KtaudService, SubscriptionFilter,
 };
 
 fn quiet(n: usize) -> Cluster {
@@ -18,9 +18,11 @@ fn quiet(n: usize) -> Cluster {
 
 #[test]
 fn ktaud_and_self_profiling_agree() {
-    // A self-profiling client (the app reading its own profile) and KTAUD's
-    // all-process sweep must report the same numbers for the same pid at
-    // the same time.
+    // A self-profiling client (the app reading its own profile) and a KTAUD
+    // client subscribed to every process must report the same numbers for
+    // the same pid at the same time.  The worker exits after ~1 s, so the
+    // comparison runs at each of the first three 0.25 s sweeps, while it is
+    // live.
     let mut c = quiet(1);
     let pid = c.spawn(
         0,
@@ -33,16 +35,16 @@ fn ktaud_and_self_profiling_agree() {
             ])),
         ),
     );
-    let mut d = Ktaud::install(&mut c, &[0], NS_PER_SEC / 4, AccessMode::All);
-    d.run(&mut c, 8).unwrap();
-    let self_view = ktau_get_profile(&c, 0, pid).unwrap();
-    let daemon_view = d.latest().unwrap().profiles[0]
-        .1
-        .iter()
-        .find(|p| p.pid == pid.0)
-        .expect("daemon missed the worker")
-        .clone();
-    assert_eq!(self_view.kernel_events, daemon_view.kernel_events);
+    let mut d = KtaudService::install(&mut c, &[0], NS_PER_SEC / 4);
+    let client = d.subscribe(SubscriptionFilter::all());
+    let mut mirror = KtaudMirror::new();
+    for _ in 0..3 {
+        d.sweep(&mut c).unwrap();
+        mirror.apply_all(&d.poll(client)).unwrap();
+        let self_view = ktau_get_profile(&c, 0, pid).unwrap();
+        let daemon_view = mirror.get(0, pid.0).expect("daemon missed the worker");
+        assert_eq!(self_view.kernel_events, daemon_view.kernel_events);
+    }
 }
 
 #[test]

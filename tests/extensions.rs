@@ -3,10 +3,12 @@
 //! counters, phase-based profiling, merged call-path profiles, and online
 //! rate monitoring.
 
+use ktau::core::snapshot::ProfileSnapshot;
 use ktau::core::time::NS_PER_SEC;
 use ktau::oskern::{Cluster, ClusterSpec, NoiseSpec, Op, OpList, TaskSpec};
 use ktau::user::{
-    callpath_profile, ktau_get_trace, ktaud::event_rate, AccessMode, Ktaud, PhaseProfiler,
+    callpath_profile, ktau_get_trace, ktaud::event_rate, KtaudMirror, KtaudService, PhaseProfiler,
+    SubscriptionFilter,
 };
 
 fn quiet(n: usize) -> Cluster {
@@ -96,9 +98,24 @@ fn ktaud_event_rates_reflect_activity_bursts() {
     }
     ops.push(Op::Sleep(2 * NS_PER_SEC));
     let pid = c.spawn(0, TaskSpec::app("bursty", Box::new(OpList::new(ops))));
-    let mut d = Ktaud::install(&mut c, &[0], NS_PER_SEC / 2, AccessMode::All);
-    d.run(&mut c, 7).unwrap();
-    let rates = event_rate(&d.history, 0, pid.0, "sys_getpid");
+    let mut d = KtaudService::install(&mut c, &[0], NS_PER_SEC / 2);
+    let client = d.subscribe(SubscriptionFilter::for_pids(vec![pid.0]));
+    let mut mirror = KtaudMirror::new();
+    // One observation per sweep while the process lives (~3 s).  The mirror
+    // keeps a profile's capture time until its content changes, so each
+    // observation is stamped with its sweep's time.
+    let mut series = Vec::new();
+    for _ in 0..7 {
+        d.sweep(&mut c).unwrap();
+        mirror.apply_all(&d.poll(client)).unwrap();
+        if let Some(p) = mirror.get(0, pid.0) {
+            series.push(ProfileSnapshot {
+                taken_ns: c.now(),
+                ..p
+            });
+        }
+    }
+    let rates = event_rate(&series, "sys_getpid");
     assert!(!rates.is_empty());
     let peak = rates.iter().map(|r| r.1).fold(0.0f64, f64::max);
     let last = rates.last().unwrap().1;
